@@ -137,9 +137,12 @@ int main(int argc, char** argv) {
         world.tcsp.DeployService(cert.value(), request);
     relay.AddRow({"via TCSP (down)", via_tcsp.status.ToString(), "0"});
 
-    const auto home = Tcsp::HomeNodes(request.control_scope);
+    // The user stamps its own deployment id for the direct path.
+    const DeploymentInstruction instr{
+        DeploymentId{DeploymentOriginTag(AsOrgName(subject)), 1},
+        cert.value(), request, Tcsp::HomeNodes(request.control_scope)};
     const Status via_relay = world.nmses[0]->RelayDeploy(
-        cert.value(), request, home, world.tcsp.certificate_authority());
+        instr, world.tcsp.certificate_authority());
     std::size_t configured = 0;
     for (auto& nms : world.nmses) {
       configured += nms->CountDeployments(cert.value().subscriber);

@@ -1,13 +1,12 @@
 // Datapath drop-reason taxonomy.
 //
-// Every dropped packet gets an explicit reason: the policy family that
-// killed it (blacklist, rate-limit, anti-spoof, ...), a transport cause
-// (queue overflow), or an injected fault. The enum lives in common so the
-// whole stack shares one taxonomy — net counts queue drops, core's module
-// graph tags policy drops, and the obs flight recorder serialises the
-// value per verdict. Distinct from net::DropReason, which classifies
-// *delivery* failures inside the packet network; this classifies
-// *verdicts* rendered by the traffic-control datapath.
+// Every packet an adaptive device drops gets the policy family that
+// killed it (blacklist, rate-limit, anti-spoof, ...). The device renders
+// only policy verdicts (Sec. 4.2), so these reasons refine the world-level
+// net::DropReason::kFiltered; queue overflow, link faults and every other
+// transport loss belong to the packet network and are counted only there.
+// The enum lives in common so core's module graph can tag drops and the
+// obs flight recorder can serialise the value per verdict.
 #pragma once
 
 #include <cstdint>
@@ -21,11 +20,6 @@ enum class DatapathDropReason : std::uint8_t {
   kRateLimit,       ///< Token-bucket rate limiter exhausted.
   kAntiSpoof,       ///< Failed reverse-path / anti-spoofing check.
   kModulePolicy,    ///< Some other module routed to the drop terminal.
-  kQueueOverflow,   ///< Device or link queue was full.
-  kFaultInjected,   ///< Dropped by the fault-injection layer.
-  kLinkLoss,        ///< Injected data-plane link loss ate the packet.
-  kLinkCorrupt,     ///< Injected in-flight corruption; CRC-dropped at arrival.
-  kLinkDown,        ///< Link was inside an injected flap window.
   kCount_,          ///< Sentinel — keep last.
 };
 
@@ -41,11 +35,6 @@ inline const char* DatapathDropReasonName(DatapathDropReason reason) {
     case DatapathDropReason::kRateLimit: return "rate-limit";
     case DatapathDropReason::kAntiSpoof: return "anti-spoof";
     case DatapathDropReason::kModulePolicy: return "module-policy";
-    case DatapathDropReason::kQueueOverflow: return "queue-overflow";
-    case DatapathDropReason::kFaultInjected: return "fault-injected";
-    case DatapathDropReason::kLinkLoss: return "link-loss";
-    case DatapathDropReason::kLinkCorrupt: return "link-corrupt";
-    case DatapathDropReason::kLinkDown: return "link-down";
     case DatapathDropReason::kCount_: break;
   }
   return "unknown";

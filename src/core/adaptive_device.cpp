@@ -79,7 +79,7 @@ void AdaptiveDevice::BindTelemetry(obs::Telemetry* telemetry) {
     out.push_back(
         {prefix + "stage2_runs", static_cast<double>(stats_.stage2_runs)});
     out.push_back({prefix + "dropped_packets",
-                   static_cast<double>(stats_.dropped_packets)});
+                   static_cast<double>(stats_.dropped_packets())});
     out.push_back({prefix + "safety_violations",
                    static_cast<double>(stats_.safety_violations)});
     out.push_back({prefix + "flow_cache_hits",
@@ -361,7 +361,6 @@ Verdict AdaptiveDevice::ReplayCachedVerdict(FlowCacheEntry& entry,
                                                          1);
     }
     if (entry.drop_stage == 1) {
-      stats_.dropped_packets++;
       stats_.drops_by_reason[static_cast<std::size_t>(entry.drop_reason)]++;
       return Verdict::kDrop;
     }
@@ -376,7 +375,6 @@ Verdict AdaptiveDevice::ReplayCachedVerdict(FlowCacheEntry& entry,
           entry.drop_stage == 2);
     }
     if (entry.drop_stage == 2) {
-      stats_.dropped_packets++;
       stats_.drops_by_reason[static_cast<std::size_t>(entry.drop_reason)]++;
       return Verdict::kDrop;
     }
@@ -489,7 +487,6 @@ Verdict AdaptiveDevice::Process(Packet& packet, const RouterContext& ctx) {
                                : std::min(truncate_to, run.truncate_to))
                         : truncate_to;
       if (run.verdict == Verdict::kDrop) {
-        stats_.dropped_packets++;
         stats_.drops_by_reason[static_cast<std::size_t>(run.drop_reason)]++;
         verdict = Verdict::kDrop;
         drop_stage = 1;
@@ -512,7 +509,6 @@ Verdict AdaptiveDevice::Process(Packet& packet, const RouterContext& ctx) {
                                : std::min(truncate_to, run.truncate_to))
                         : truncate_to;
       if (run.verdict == Verdict::kDrop) {
-        stats_.dropped_packets++;
         stats_.drops_by_reason[static_cast<std::size_t>(run.drop_reason)]++;
         verdict = Verdict::kDrop;
         drop_stage = 2;

@@ -50,7 +50,6 @@ struct DeviceStats {
   obs::Counter redirected_packets;  // entered the device
   obs::Counter stage1_runs;
   obs::Counter stage2_runs;
-  obs::Counter dropped_packets;
   obs::Counter safety_violations;
   obs::Counter flow_cache_hits;    // verdict or lookup served from cache
   obs::Counter flow_cache_misses;  // cache enabled but no usable entry
@@ -59,9 +58,15 @@ struct DeviceStats {
   obs::Counter replays_rejected;     // known id, different content (attack)
   obs::Counter restarts;             // crash/restart cycles (state wiped)
   obs::Counter quarantines;          // deployments put under quarantine
-  /// Drops attributed per taxonomy entry (indexed by DatapathDropReason);
-  /// the sum over policy reasons equals dropped_packets.
+  /// Drops attributed per taxonomy entry (indexed by DatapathDropReason).
   obs::Counter drops_by_reason[kDatapathDropReasonCount];
+
+  /// Every packet the device dropped: the sum over drops_by_reason.
+  std::uint64_t dropped_packets() const {
+    std::uint64_t total = 0;
+    for (const obs::Counter& drops : drops_by_reason) total += drops;
+    return total;
+  }
 };
 
 /// Everything needed to install a subscriber's processing on a device.

@@ -6,12 +6,15 @@ namespace adtc {
 
 std::uint64_t DeviceContext::RouterForwardedPackets() const {
   if (net == nullptr || node == kInvalidNode) return 0;
-  return net->node(node).forwarded;
-}
-
-std::uint64_t DeviceContext::RouterFilteredPackets() const {
-  if (net == nullptr || node == kInvalidNode) return 0;
-  return net->node(node).filtered;
+  // Every packet the router forwards is offered to exactly one of its
+  // outgoing links, which either transmits or refuses it.
+  std::uint64_t offered = 0;
+  for (const auto& [neighbour, link] : net->node(node).neighbours) {
+    (void)neighbour;
+    offered += net->link(link).stats.forwarded_packets +
+               net->link(link).stats.dropped_packets;
+  }
+  return offered;
 }
 
 double DeviceContext::RouterDropShare() const {

@@ -56,10 +56,9 @@ struct DeviceContext {
   //  congestion parameters, traffic mix, router load etc.) can also be
   //  provided."
 
-  /// Packets the hosting router forwarded so far (router load).
+  /// Packets the hosting router forwarded towards neighbouring routers
+  /// so far (router load).
   std::uint64_t RouterForwardedPackets() const;
-  /// Packets dropped by processors at this router.
-  std::uint64_t RouterFilteredPackets() const;
   /// Queue-drop share across the router's outgoing links:
   /// dropped / (forwarded + dropped), 0 when idle — a congestion signal.
   double RouterDropShare() const;

@@ -1,7 +1,7 @@
 // Deployment identity for exactly-once control-plane effects.
 //
 // Every service deployment is stamped with a DeploymentId by its origin
-// (the TCSP, or the entry NMS on the peer-relay fallback path). The id
+// (the TCSP, or whoever hands an ISP NMS an instruction directly). The id
 // travels with the instruction through every channel hop, so an NMS or
 // device that sees a duplicated, retried or relayed copy of an
 // instruction it already applied returns the recorded outcome instead of
@@ -17,7 +17,7 @@
 namespace adtc {
 
 struct DeploymentId {
-  /// 0 = the TCSP; an NMS-originated id carries a hash of the NMS name.
+  /// 0 = the TCSP; any other issuer carries a hash of its name.
   std::uint64_t origin = 0;
   /// Monotonic per origin; 0 = "no id" (dedup disabled for this spec).
   std::uint64_t seq = 0;
@@ -35,7 +35,7 @@ struct DeploymentIdHash {
   }
 };
 
-/// FNV-1a of an origin name — how an NMS derives its id origin tag.
+/// FNV-1a of an origin name — how a non-TCSP issuer derives its origin.
 inline std::uint64_t DeploymentOriginTag(std::string_view name) {
   std::uint64_t h = 0xcbf29ce484222325ull;
   for (const char c : name) {

@@ -72,8 +72,7 @@ IspNms::IspNms(std::string isp_name, Network& net,
       net_(net),
       sched_(net.control()),
       validator_(validator),
-      control_rng_(DeploymentOriginTag(name_)),
-      origin_tag_(DeploymentOriginTag(name_)) {
+      control_rng_(DeploymentOriginTag(name_)) {
   const std::string prefix = "nms." + name_ + ".";
   net_.telemetry().registry().AddCollector(
       this, [this, prefix](obs::MetricsSnapshot& out) {
@@ -257,33 +256,27 @@ ControlChannel& IspNms::PeerChannel(IspNms* peer) {
   return *it->second;
 }
 
-Status IspNms::DeployService(const OwnershipCertificate& cert,
-                             const ServiceRequest& request,
-                             const std::vector<NodeId>& home_nodes,
-                             const CertificateAuthority& authority) {
-  DeploymentInstruction instr;
-  instr.id = DeploymentId{origin_tag_, next_local_seq_++};
-  instr.cert = cert;
-  instr.request = request;
-  instr.home_nodes = home_nodes;
-  return ApplyDeployment(instr, authority);
+std::optional<Status> IspNms::RecordedOutcome(
+    const DeploymentInstruction& instr, std::string_view replay_what) {
+  if (!instr.id.valid()) return std::nullopt;
+  const auto it = applied_.find(instr.id);
+  if (it == applied_.end()) return std::nullopt;
+  // A re-delivered copy must carry the same content as the first.
+  // Anything else is an adversary re-using a known id to smuggle a
+  // mutated instruction past the dedup shield.
+  if (it->second.digest != InstructionDigest(instr)) {
+    stats_.replays_rejected++;
+    return ReplayDetected(std::string(replay_what) +
+                          " id re-used with mutated content at " + name_);
+  }
+  stats_.duplicate_instructions++;
+  return it->second.status;
 }
 
 Status IspNms::ApplyDeployment(const DeploymentInstruction& instr,
                                const CertificateAuthority& authority) {
-  if (instr.id.valid()) {
-    if (const auto it = applied_.find(instr.id); it != applied_.end()) {
-      // A re-delivered copy must carry the same content as the first.
-      // Anything else is an adversary re-using a known id to smuggle a
-      // mutated instruction past the dedup shield.
-      if (it->second.digest != InstructionDigest(instr)) {
-        stats_.replays_rejected++;
-        return ReplayDetected("deployment id re-used with mutated content at " +
-                              name_);
-      }
-      stats_.duplicate_instructions++;
-      return it->second.status;
-    }
+  if (auto recorded = RecordedOutcome(instr, "deployment")) {
+    return *recorded;
   }
   const Status status = ApplyDeploymentImpl(instr, authority);
   if (instr.id.valid()) {
@@ -605,34 +598,13 @@ Status IspNms::RemoveService(SubscriberId subscriber) {
   return Status::Ok();
 }
 
-Status IspNms::RelayDeploy(const OwnershipCertificate& cert,
-                           const ServiceRequest& request,
-                           const std::vector<NodeId>& home_nodes,
-                           const CertificateAuthority& authority) {
-  DeploymentInstruction instr;
-  instr.id = DeploymentId{origin_tag_, next_local_seq_++};
-  instr.cert = cert;
-  instr.request = request;
-  instr.home_nodes = home_nodes;
-  return RelayDeploy(instr, authority);
-}
-
 Status IspNms::RelayDeploy(const DeploymentInstruction& instr,
                            const CertificateAuthority& authority) {
-  if (instr.id.valid()) {
-    if (const auto it = applied_.find(instr.id); it != applied_.end()) {
-      if (it->second.digest != InstructionDigest(instr)) {
-        // Mutated replay: reject AND refuse to forward — a compromised
-        // peer cannot launder bogus content through the flood.
-        stats_.replays_rejected++;
-        return ReplayDetected(
-            "relayed deployment id re-used with mutated content at " +
-            name_);
-      }
-      stats_.duplicate_instructions++;
-      // flood terminates: this hop already has it
-      return it->second.status;
-    }
+  // A mutated replay is rejected AND never forwarded, so a compromised
+  // peer cannot launder bogus content through the flood; a duplicate
+  // terminates the flood at this hop.
+  if (auto recorded = RecordedOutcome(instr, "relayed deployment")) {
+    return *recorded;
   }
   if (deployed_keys_.contains(
           DeployKey(instr.cert.subscriber, instr.request.kind))) {

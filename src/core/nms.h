@@ -15,7 +15,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -144,16 +146,6 @@ class IspNms : public EventSink {
   /// injector is attached).
   void set_peer_latency(SimDuration latency) { peer_latency_ = latency; }
 
-  /// Validates (certificate freshness + safety) and installs a service
-  /// for a subscriber on every managed node selected by the placement
-  /// policy. Home nodes = ASes legitimately originating the scope.
-  /// Allocates a local DeploymentId (this entry point is the
-  /// un-numbered legacy surface; the TCSP stamps its own ids).
-  Status DeployService(const OwnershipCertificate& cert,
-                       const ServiceRequest& request,
-                       const std::vector<NodeId>& home_nodes,
-                       const CertificateAuthority& authority);
-
   /// Idempotent instruction application: the first delivery validates
   /// and installs; every later delivery of the same id replays the
   /// recorded status with zero side effects. `authority` must outlive
@@ -168,11 +160,6 @@ class IspNms : public EventSink {
   /// dedups by id — the relay terminates). Used when the TCSP is
   /// unreachable "e.g. because of an ongoing DDoS attack on the TCSP".
   Status RelayDeploy(const DeploymentInstruction& instr,
-                     const CertificateAuthority& authority);
-  /// Legacy user-originated entry: stamps a local id and relays.
-  Status RelayDeploy(const OwnershipCertificate& cert,
-                     const ServiceRequest& request,
-                     const std::vector<NodeId>& home_nodes,
                      const CertificateAuthority& authority);
 
   /// Guarded against self- and duplicate peering: the mesh stays simple
@@ -261,6 +248,11 @@ class IspNms : public EventSink {
 
   static constexpr std::size_t kMaxSweepAttempts = 16;
 
+  /// The id-dedup shield: for an id already applied, the recorded status
+  /// (a duplicate) or kReplayDetected when the content differs from the
+  /// first delivery (a mutated replay); nullopt for an id not seen yet.
+  std::optional<Status> RecordedOutcome(const DeploymentInstruction& instr,
+                                        std::string_view replay_what);
   /// The effectful path behind the id-dedup shield.
   Status ApplyDeploymentImpl(const DeploymentInstruction& instr,
                              const CertificateAuthority& authority);
@@ -337,8 +329,6 @@ class IspNms : public EventSink {
   std::unordered_map<DeploymentId, DesiredDeployment, DeploymentIdHash>
       desired_;
   const CertificateAuthority* authority_ = nullptr;  // for resync re-offers
-  std::uint64_t origin_tag_;
-  std::uint64_t next_local_seq_ = 1;
   bool sweep_scheduled_ = false;
   std::size_t sweep_attempt_ = 0;
   bool resync_running_ = false;

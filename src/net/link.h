@@ -4,7 +4,6 @@
 // the congestion behaviour DDoS experiments depend on.
 #pragma once
 
-#include <array>
 #include <cstdint>
 
 #include "common/types.h"
@@ -53,18 +52,11 @@ struct LinkTarget {
 };
 
 struct LinkStats {
+  /// Packets that entered the transmitter, and packets refused at this
+  /// link (queue overflow or an injected loss or flap). Why a packet was
+  /// refused is recorded only in the world's Metrics cells.
   std::uint64_t forwarded_packets = 0;
-  std::uint64_t forwarded_bytes = 0;
   std::uint64_t dropped_packets = 0;
-  std::uint64_t dropped_bytes = 0;
-  /// Injected data-plane faults on this link (zero unless a FaultInjector
-  /// with a link plan is attached; see docs/fault_injection.md). Written
-  /// on the sending side's shard — fault injection is single-shard-only.
-  std::uint64_t fault_lost_packets = 0;
-  std::uint64_t fault_corrupted_packets = 0;
-  std::uint64_t flap_dropped_packets = 0;
-  /// Forwarded bytes split by ground-truth class (measurement only).
-  std::array<std::uint64_t, 5> forwarded_bytes_by_class{};
   /// Total time the transmitter was serialising (utilisation numerator).
   SimDuration busy_time = 0;
 

@@ -4,8 +4,6 @@
 #include <cassert>
 #include <deque>
 
-#include "common/drop_reason.h"
-
 namespace adtc {
 
 std::string_view LinkKindName(LinkKind kind) {
@@ -71,66 +69,17 @@ Network::Network(std::uint64_t seed, std::size_t num_shards)
                    static_cast<double>(merged.legit_byte_hops)});
     out.push_back({"sim.executed_events",
                    static_cast<double>(engine_.executed_events())});
-    // The transport-caused entry of the datapath drop taxonomy: device
-    // policy drops are counted per reason by each AdaptiveDevice, queue
-    // overflows happen here in the packet network.
-    std::uint64_t queue_drops = 0;
-    for (std::size_t c = 0; c < kTrafficClassCount; ++c) {
-      queue_drops += merged.packets_dropped[c][static_cast<std::size_t>(
-          DropReason::kQueueFull)];
-    }
-    out.push_back(
-        {std::string("net.drops.") +
-             DatapathDropReasonName(DatapathDropReason::kQueueOverflow),
-         static_cast<double>(queue_drops)});
-    // Injected data-plane faults, aggregated and per link. Only exported
-    // with an injector attached — which also guarantees a single shard,
-    // so reading the links' plain counters here is race-free.
-    if (injector_ != nullptr) {
-      std::uint64_t lost = 0;
-      std::uint64_t corrupted = 0;
-      std::uint64_t flapped = 0;
-      for (std::size_t l = 0; l < links_.size(); ++l) {
-        const LinkStats& ls = links_[l].stats;
-        lost += ls.fault_lost_packets;
-        corrupted += ls.fault_corrupted_packets;
-        flapped += ls.flap_dropped_packets;
-        const std::uint64_t faults = ls.fault_lost_packets +
-                                     ls.fault_corrupted_packets +
-                                     ls.flap_dropped_packets;
-        if (faults > 0) {
-          const std::string link_prefix =
-              "net.link" + std::to_string(l) + ".drops.";
-          if (ls.fault_lost_packets > 0) {
-            out.push_back({link_prefix + DatapathDropReasonName(
-                                             DatapathDropReason::kLinkLoss),
-                           static_cast<double>(ls.fault_lost_packets)});
-          }
-          if (ls.fault_corrupted_packets > 0) {
-            out.push_back(
-                {link_prefix +
-                     DatapathDropReasonName(DatapathDropReason::kLinkCorrupt),
-                 static_cast<double>(ls.fault_corrupted_packets)});
-          }
-          if (ls.flap_dropped_packets > 0) {
-            out.push_back({link_prefix + DatapathDropReasonName(
-                                             DatapathDropReason::kLinkDown),
-                           static_cast<double>(ls.flap_dropped_packets)});
-          }
-        }
+    // Every drop in the world, by reason, from the same cells as the
+    // per-class totals above (device drops refine "filtered" per policy
+    // under device.as<node>.drops.*).
+    for (std::size_t r = 0; r < kDropReasonCount; ++r) {
+      std::uint64_t drops = 0;
+      for (std::size_t c = 0; c < kTrafficClassCount; ++c) {
+        drops += merged.packets_dropped[c][r];
       }
-      out.push_back(
-          {std::string("net.drops.") +
-               DatapathDropReasonName(DatapathDropReason::kLinkLoss),
-           static_cast<double>(lost)});
-      out.push_back(
-          {std::string("net.drops.") +
-               DatapathDropReasonName(DatapathDropReason::kLinkCorrupt),
-           static_cast<double>(corrupted)});
-      out.push_back(
-          {std::string("net.drops.") +
-               DatapathDropReasonName(DatapathDropReason::kLinkDown),
-           static_cast<double>(flapped)});
+      out.push_back({"net.drops." + std::string(DropReasonName(
+                                        static_cast<DropReason>(r))),
+                     static_cast<double>(drops)});
     }
   });
 }
@@ -374,15 +323,8 @@ void Network::LinkSend(LinkId link_id, Packet packet) {
       case PacketFate::kDeliver:
         break;
       case PacketFate::kLost:
-        link.stats.fault_lost_packets++;
-        link.stats.dropped_packets++;
-        link.stats.dropped_bytes += packet.size_bytes;
-        metrics_cell().RecordDrop(packet, DropReason::kLinkFault);
-        return;
       case PacketFate::kLinkDown:
-        link.stats.flap_dropped_packets++;
         link.stats.dropped_packets++;
-        link.stats.dropped_bytes += packet.size_bytes;
         metrics_cell().RecordDrop(packet, DropReason::kLinkFault);
         return;
       case PacketFate::kCorrupted:
@@ -396,7 +338,6 @@ void Network::LinkSend(LinkId link_id, Packet packet) {
   if (link.queued_bytes + packet.size_bytes >
       link.params.buffer_bytes) {
     link.stats.dropped_packets++;
-    link.stats.dropped_bytes += packet.size_bytes;
     metrics_cell().RecordDrop(packet, DropReason::kQueueFull);
     if (drop_observer_) drop_observer_(packet, link_id);
     return;
@@ -410,9 +351,6 @@ void Network::LinkSend(LinkId link_id, Packet packet) {
   link.queued_bytes += packet.size_bytes;
   link.stats.busy_time += tx;
   link.stats.forwarded_packets++;
-  link.stats.forwarded_bytes += packet.size_bytes;
-  link.stats.forwarded_bytes_by_class[static_cast<std::size_t>(
-      packet.klass)] += packet.size_bytes;
   metrics_cell().RecordHop(packet);
 
   const SimTime arrive = finish + link.params.delay;
@@ -425,10 +363,8 @@ void Network::LinkSend(LinkId link_id, Packet packet) {
     links_[link_id].queued_bytes -= size;
   });
   if (corrupted) {
-    // The frame used the wire but fails the receiver's CRC: account the
-    // fault on the sending side (injector worlds are single-shard, so
-    // this is the same shard) and drop at arrival time.
-    link.stats.fault_corrupted_packets++;
+    // The frame used the wire but fails the receiver's CRC: drop it at
+    // arrival time.
     engine_.shard(ShardOf(link.to))
         .Post(arrive, [this, p = std::move(packet)]() mutable {
           metrics_cell().RecordDrop(p, DropReason::kLinkFault);
@@ -490,7 +426,6 @@ void Network::RouterReceive(NodeId node_id, LinkId in_link, Packet packet) {
   for (PacketProcessor* processor : node.processors) {
     processor->ProcessBatch(batch, ctx);
     if (batch.alive_count() == 0) {
-      node.filtered++;
       metrics_cell().RecordDrop(packet, DropReason::kFiltered);
       return;
     }
@@ -516,7 +451,6 @@ void Network::RouterReceive(NodeId node_id, LinkId in_link, Packet packet) {
   // Find the out link toward `next`.
   for (const auto& [neighbour, link] : node.neighbours) {
     if (neighbour == next) {
-      node.forwarded++;
       LinkSend(link, std::move(packet));
       return;
     }

@@ -178,9 +178,6 @@ struct Node {
   /// service traffic injected here): keeps packet identities independent
   /// of cross-shard event interleaving.
   std::uint64_t next_serial = 0;
-
-  std::uint64_t forwarded = 0;
-  std::uint64_t filtered = 0;
 };
 
 }  // namespace adtc

@@ -336,7 +336,7 @@ TEST(AdaptiveDeviceTest, DropsAttributedPerTaxonomyReason) {
             1u);
   EXPECT_EQ(
       stats.drops_by_reason[static_cast<std::size_t>(R::kFirewallRule)], 1u);
-  EXPECT_EQ(stats.dropped_packets, 2u);
+  EXPECT_EQ(stats.dropped_packets(), 2u);
 
   // Cached replays attribute the same reason as the original verdict.
   Packet listed_again = PacketBetween(9, 5);

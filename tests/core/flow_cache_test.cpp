@@ -71,7 +71,7 @@ TEST(FlowCacheTest, RepeatedFlowHitsCache) {
   // The cached drop keeps every counter moving as if the modules ran.
   EXPECT_EQ(device.stats().redirected_packets, 2u);
   EXPECT_EQ(device.stats().stage2_runs, 2u);
-  EXPECT_EQ(device.stats().dropped_packets, 2u);
+  EXPECT_EQ(device.stats().dropped_packets(), 2u);
   const ModuleGraph* graph =
       device.StageGraph(1, ProcessingStage::kDestinationOwner);
   ASSERT_NE(graph, nullptr);

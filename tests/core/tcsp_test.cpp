@@ -219,9 +219,11 @@ TEST(TcspTest, PeerRelayWorksWithTcspDown) {
   request.kind = ServiceKind::kRemoteIngressFiltering;
   request.control_scope = {NodePrefix(7)};
   // The user contacts one ISP directly; the config floods the peer mesh.
-  const std::vector<NodeId> home = Tcsp::HomeNodes(request.control_scope);
+  const DeploymentInstruction instr{DeploymentId{DeploymentOriginTag("as7"), 1},
+                                    cert.value(), request,
+                                    Tcsp::HomeNodes(request.control_scope)};
   ADTC_ASSERT_OK(world.nmses[0]->RelayDeploy(
-      cert.value(), request, home, world.tcsp.certificate_authority()));
+      instr, world.tcsp.certificate_authority()));
 
   std::size_t deployed = 0;
   for (auto& nms : world.nmses) {

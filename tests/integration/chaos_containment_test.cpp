@@ -363,7 +363,7 @@ obs::MetricsSnapshot RunHonestWorld(FaultInjector* injector) {
 }
 
 /// Strips metrics that merely *observe* the injector (fault counters,
-/// per-link fault cells, event totals) — everything else must be
+/// event totals) — everything else must be
 /// bit-identical between an all-zero injector and none at all.
 obs::MetricsSnapshot BehaviouralMetrics(const obs::MetricsSnapshot& in) {
   auto starts_with = [](const std::string& name, std::string_view prefix) {
@@ -373,9 +373,7 @@ obs::MetricsSnapshot BehaviouralMetrics(const obs::MetricsSnapshot& in) {
   obs::MetricsSnapshot out;
   for (const obs::MetricValue& metric : in) {
     if (starts_with(metric.name, "faults.") ||
-        starts_with(metric.name, "sim.") ||
-        starts_with(metric.name, "net.link") ||
-        starts_with(metric.name, "net.drops.link-")) {
+        starts_with(metric.name, "sim.")) {
       continue;
     }
     out.push_back(metric);

@@ -99,9 +99,13 @@ WorldResult RunShardedWorld(std::size_t num_shards) {
   request.placement = PlacementPolicy::kAllManagedNodes;
   request.control_scope = {scope};
   for (auto& nms : nmses) {
+    // Each region's NMS is its own issuer, so each deployment is its own
+    // trace tree.
+    const DeploymentInstruction instr{
+        DeploymentId{DeploymentOriginTag(nms->name()), 1}, cert.value(),
+        request, {scenario.victim_node}};
     const Status status =
-        nms->DeployService(cert.value(), request, {scenario.victim_node},
-                           tcsp.certificate_authority());
+        nms->ApplyDeployment(instr, tcsp.certificate_authority());
     EXPECT_TRUE(status.ok()) << status.ToString();
   }
 

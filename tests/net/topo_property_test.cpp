@@ -3,22 +3,31 @@
 // consistent (provider relations match link kinds).
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "net/topo_gen.h"
 
 namespace adtc {
 namespace {
 
+// Four bytes wide so TopoCase has no padding: gtest names each case after
+// the raw bytes of its parameter, and uninitialised padding bytes would give
+// the same case a different name on every run.
+enum class Generator : std::uint32_t { kTransitStub = 0, kPowerLaw = 1 };
+
 struct TopoCase {
-  bool power_law;
+  Generator generator;
   std::uint32_t size;
   std::uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<TopoCase>,
+              "TopoCase must have no padding bytes");
 
 class TopologyPropertyTest : public ::testing::TestWithParam<TopoCase> {
  protected:
   void Build(Network& net, TopologyInfo& info) {
     const TopoCase& c = GetParam();
-    if (c.power_law) {
+    if (c.generator == Generator::kPowerLaw) {
       PowerLawParams params;
       params.node_count = c.size;
       info = BuildPowerLaw(net, params);
@@ -108,11 +117,16 @@ TEST_P(TopologyPropertyTest, RoutingIsSymmetricInHopCount) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, TopologyPropertyTest,
-    ::testing::Values(TopoCase{false, 40, 1}, TopoCase{false, 120, 2},
-                      TopoCase{false, 300, 3}, TopoCase{true, 60, 4},
-                      TopoCase{true, 200, 5}, TopoCase{true, 400, 6}),
+    ::testing::Values(TopoCase{Generator::kTransitStub, 40, 1},
+                      TopoCase{Generator::kTransitStub, 120, 2},
+                      TopoCase{Generator::kTransitStub, 300, 3},
+                      TopoCase{Generator::kPowerLaw, 60, 4},
+                      TopoCase{Generator::kPowerLaw, 200, 5},
+                      TopoCase{Generator::kPowerLaw, 400, 6}),
     [](const ::testing::TestParamInfo<TopoCase>& info) {
-      return std::string(info.param.power_law ? "PowerLaw" : "TransitStub") +
+      return std::string(info.param.generator == Generator::kPowerLaw
+                             ? "PowerLaw"
+                             : "TransitStub") +
              std::to_string(info.param.size) + "_seed" +
              std::to_string(info.param.seed);
     });

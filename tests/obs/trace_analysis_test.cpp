@@ -46,8 +46,10 @@ std::vector<Span> WellFormedSpans() {
 }
 
 TEST(TraceAnalyzerTest, ReassemblesSingleRootedTimeline) {
+  // The analyzer borrows the spans: they must outlive the reads below.
+  const std::vector<Span> spans = WellFormedSpans();
   TraceAnalyzer analyzer;
-  analyzer.Analyze(WellFormedSpans());
+  analyzer.Analyze(spans);
 
   ASSERT_EQ(analyzer.timelines().size(), 1u);
   const DeploymentTimeline& timeline = analyzer.timelines().at("1:7");
