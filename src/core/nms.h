@@ -172,11 +172,6 @@ class IspNms : public EventSink {
   // Executed at this NMS when a TCSP runtime-op relay lands on its
   // control channel. All idempotent, so at-least-once request delivery
   // is safe.
-  /// Applies `fn` to every stage graph of the subscriber across managed
-  /// devices; returns graphs visited.
-  std::size_t ForEachStageGraph(
-      SubscriberId subscriber,
-      const std::function<void(NodeId, ProcessingStage, ModuleGraph&)>& fn);
   RuntimeOpResult SetFirewallRulesActiveLocal(SubscriberId subscriber,
                                               bool active);
   RuntimeOpResult SetRateLimitLocal(SubscriberId subscriber,
@@ -248,6 +243,12 @@ class IspNms : public EventSink {
 
   static constexpr std::size_t kMaxSweepAttempts = 16;
 
+  /// Applies `fn` to every stage graph of the subscriber across managed
+  /// devices; returns graphs visited. The runtime operations' walker.
+  std::size_t ForEachStageGraph(
+      SubscriberId subscriber,
+      const std::function<void(NodeId, ProcessingStage, ModuleGraph&)>& fn);
+
   /// The id-dedup shield: for an id already applied, the recorded status
   /// (a duplicate) or kReplayDetected when the content differs from the
   /// first delivery (a mutated replay); nullopt for an id not seen yet.
@@ -315,8 +316,10 @@ class IspNms : public EventSink {
   std::unordered_map<NodeId, std::string> device_channel_names_;
   /// Restart events already turned into simulator posts, per node.
   std::unordered_map<NodeId, std::size_t> restarts_armed_;
-  /// (subscriber, kind) pairs already deployed — legacy relay
-  /// termination for un-numbered requests.
+  /// (subscriber, kind) pairs already deployed here. Every instruction
+  /// carries an id, so id dedup (applied_) stops re-deliveries of the
+  /// same instruction; this set stops a relay flood at a peer where the
+  /// same (subscriber, kind) already landed under an earlier id.
   std::unordered_set<std::uint64_t> deployed_keys_;
   /// Outcome + content digest per instruction id — the exactly-once
   /// record, digest-armored against mutated replays.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 
 namespace adtc {
 
@@ -356,74 +357,71 @@ DeploymentReport Tcsp::DeployService(
   }
 
   report->isp_outcomes.resize(isps_.size());
-  auto pending = std::make_shared<std::size_t>(isps_.size());
-  auto done_shared =
-      std::make_shared<std::function<void(const DeploymentReport&)>>(
-          std::move(done));
-
   for (std::size_t i = 0; i < isps_.size(); ++i) {
-    IspNms* nms = isps_[i];
-    report->isp_outcomes[i].isp = nms->name();
-    ControlChannel::CallOptions opts;
-    opts.retry = config_.retry;
-    opts.trace = trace;
-    if (modelled) {
-      // Count configurable devices for this ISP to model config time.
-      std::size_t selected = 0;
-      for (NodeId node : nms->managed_nodes()) {
-        if (PlacementSelectsNode(request, net_, node)) {
-          ++selected;
-        }
-      }
-      opts.request_latency =
-          config_.user_to_tcsp_latency + config_.tcsp_to_isp_latency +
-          static_cast<SimDuration>(selected) * config_.device_config_time;
-      // The NMS's acknowledgement rides the same control network back.
-      // (Also keeps a cross-shard ISP channel inside the epoch contract:
-      // a zero-latency response leg cannot legally cross shards.)
-      opts.response_latency = config_.tcsp_to_isp_latency;
-    }
-    IspChannel(nms).Call(
-        [this, instr, nms]() -> Status {
-          // The channel runs this with its per-try "ctrl.attempt" span
-          // active, so the NMS/device spans created inside parent under
-          // the delivering attempt. A retried or duplicated copy re-runs
-          // this handler; ApplyDeployment replays its record by id
-          // instead of re-installing.
-          return nms->ApplyDeployment(instr, ca_);
-        },
-        [this, report, pending, done_shared, deploy_span, nms, i,
-         subscriber = cert.subscriber](const Status& status,
-                                       const CallOutcome& outcome) {
-          IspOutcome& slot = report->isp_outcomes[i];
-          slot.status = status;
-          slot.attempts = outcome.attempts;
-          if (outcome.attempts > 1) {
-            const std::uint32_t extra = outcome.attempts - 1;
-            report->retries += extra;
-            stats_.deploy_retries += extra;
-          }
-          report->status = WorseStatus(report->status, status);
-          if (status.ok()) {
-            report->isps_configured++;
-            slot.devices_configured = nms->CountDeployments(subscriber);
-            report->devices_configured += slot.devices_configured;
-          }
-          if (--*pending == 0) {
-            report->completed_at = net_.Now();
-            if (report->status.ok()) {
-              stats_.deployments_completed++;
-            } else {
-              stats_.deployments_failed++;
-            }
-            if (tracer() != nullptr) {
-              tracer()->EndSpan(deploy_span, report->status.ok());
-            }
-            if (*done_shared) (*done_shared)(*report);
-          }
-        },
-        opts);
+    report->isp_outcomes[i].isp = isps_[i]->name();
   }
+  FanOutToIsps(
+      [&](IspNms* nms) {
+        ControlChannel::CallOptions opts;
+        opts.retry = config_.retry;
+        opts.trace = trace;
+        if (modelled) {
+          // Count configurable devices for this ISP to model config time.
+          std::size_t selected = 0;
+          for (NodeId node : nms->managed_nodes()) {
+            if (PlacementSelectsNode(request, net_, node)) {
+              ++selected;
+            }
+          }
+          opts.request_latency =
+              config_.user_to_tcsp_latency + config_.tcsp_to_isp_latency +
+              static_cast<SimDuration>(selected) * config_.device_config_time;
+          // The NMS's acknowledgement rides the same control network
+          // back. (Also keeps a cross-shard ISP channel inside the epoch
+          // contract: a zero-latency response leg cannot legally cross
+          // shards.)
+          opts.response_latency = config_.tcsp_to_isp_latency;
+        }
+        return opts;
+      },
+      [this, instr](std::size_t, IspNms* nms) -> Status {
+        // The channel runs this with its per-try "ctrl.attempt" span
+        // active, so the NMS/device spans created inside parent under the
+        // delivering attempt. A retried or duplicated copy re-runs this
+        // handler; ApplyDeployment replays its record by id instead of
+        // re-installing.
+        return nms->ApplyDeployment(instr, ca_);
+      },
+      [this, report, subscriber = cert.subscriber](
+          std::size_t i, const Status& status, const CallOutcome& outcome) {
+        IspOutcome& slot = report->isp_outcomes[i];
+        slot.status = status;
+        slot.attempts = outcome.attempts;
+        if (outcome.attempts > 1) {
+          const std::uint32_t extra = outcome.attempts - 1;
+          report->retries += extra;
+          stats_.deploy_retries += extra;
+        }
+        if (status.ok()) {
+          report->isps_configured++;
+          slot.devices_configured = isps_[i]->CountDeployments(subscriber);
+          report->devices_configured += slot.devices_configured;
+        }
+      },
+      [this, report, deploy_span,
+       done = std::move(done)](const Status& worst) {
+        report->status = worst;
+        report->completed_at = net_.Now();
+        if (report->status.ok()) {
+          stats_.deployments_completed++;
+        } else {
+          stats_.deployments_failed++;
+        }
+        if (tracer() != nullptr) {
+          tracer()->EndSpan(deploy_span, report->status.ok());
+        }
+        if (done) done(*report);
+      });
   // kImmediate with no injector: every channel completed inline above
   // and the report is final. Otherwise: provisional snapshot
   // (completed_at still 0) and the outcome arrives through `done`.
@@ -602,260 +600,166 @@ DeploymentReport Tcsp::RelayFallback(
   return report;
 }
 
-std::size_t Tcsp::ForEachStageGraph(
-    SubscriberId subscriber,
-    const std::function<void(NodeId, ProcessingStage, ModuleGraph&)>& fn) {
-  std::size_t visited = 0;
-  for (IspNms* nms : isps_) {
-    for (NodeId node : nms->managed_nodes()) {
-      AdaptiveDevice* device = nms->device(node);
-      if (device == nullptr) continue;
-      for (ProcessingStage stage : {ProcessingStage::kSourceOwner,
-                                    ProcessingStage::kDestinationOwner}) {
-        ModuleGraph* graph = device->StageGraph(subscriber, stage);
-        if (graph != nullptr) {
-          fn(node, stage, *graph);
-          ++visited;
-        }
-      }
-    }
+void Tcsp::FanOutToIsps(
+    const std::function<ControlChannel::CallOptions(IspNms*)>& options,
+    std::function<Status(std::size_t, IspNms*)> request,
+    std::function<void(std::size_t, const Status&, const CallOutcome&)>
+        answered,
+    std::function<void(const Status&)> finished) {
+  // Shared by every ISP's call: a retried or duplicated copy re-runs
+  // `request`, and whichever ISP answers last fires `finished`.
+  struct FanOut {
+    std::function<Status(std::size_t, IspNms*)> request;
+    std::function<void(std::size_t, const Status&, const CallOutcome&)>
+        answered;
+    std::function<void(const Status&)> finished;
+    Status worst;
+    std::size_t pending;
+  };
+  auto fan = std::make_shared<FanOut>(
+      FanOut{std::move(request), std::move(answered), std::move(finished),
+             Status::Ok(), isps_.size()});
+  if (isps_.empty()) {
+    fan->finished(fan->worst);
+    return;
   }
-  return visited;
+  for (std::size_t i = 0; i < isps_.size(); ++i) {
+    IspNms* nms = isps_[i];
+    const ControlChannel::CallOptions opts = options(nms);
+    IspChannel(nms).Call(
+        [fan, i, nms] { return fan->request(i, nms); },
+        [fan, i](const Status& status, const CallOutcome& outcome) {
+          fan->worst = WorseStatus(fan->worst, status);
+          if (fan->answered) fan->answered(i, status, outcome);
+          if (--fan->pending == 0) fan->finished(fan->worst);
+        },
+        opts);
+  }
 }
 
-namespace {
-
-/// Shared fan-out state for one relayed runtime operation: per-ISP
-/// overwrite slots (so a duplicated request copy is idempotent) and a
-/// once-only completion when the last ISP answered.
-struct RuntimeOpState {
-  std::vector<RuntimeOpResult> slots;
-  Status worst;
-  std::size_t pending = 0;
-  bool final_known = false;
-  Status final_status;
-};
-
-}  // namespace
+template <typename R>
+R Tcsp::RelayRuntimeOp(
+    std::function<RuntimeOpResult(IspNms*)> local,
+    std::function<R(const Status& worst,
+                    const std::vector<RuntimeOpResult>& slots)>
+        fold,
+    std::function<void(const R&)> done) {
+  if (!TcspReachable()) {
+    stats_.requests_while_unreachable++;
+    const R result = Status(Unavailable("TCSP unreachable"));
+    if (done) done(result);
+    return result;
+  }
+  stats_.runtime_ops++;
+  // Per-ISP overwrite slots, so a duplicated request copy is idempotent.
+  auto slots = std::make_shared<std::vector<RuntimeOpResult>>(isps_.size());
+  auto final_result = std::make_shared<std::optional<R>>();
+  FanOutToIsps(
+      [this](IspNms*) {
+        ControlChannel::CallOptions opts;
+        opts.retry = config_.retry;
+        return opts;
+      },
+      [slots, local = std::move(local)](std::size_t i,
+                                        IspNms* nms) -> Status {
+        (*slots)[i] = local(nms);
+        return Status::Ok();
+      },
+      nullptr,
+      [slots, final_result, fold = std::move(fold),
+       done = std::move(done)](const Status& worst) {
+        *final_result = fold(worst, *slots);
+        if (done) done(**final_result);
+      });
+  // Fault-free same-shard channels completed inline; otherwise the
+  // outcome is still converging through retries and arrives via `done`.
+  if (final_result->has_value()) return **final_result;
+  return Status(Unavailable("runtime operation in flight"));
+}
 
 Status Tcsp::SetFirewallRulesActive(
     SubscriberId subscriber, bool active,
     std::function<void(const Status&)> done) {
-  if (!TcspReachable()) {
-    stats_.requests_while_unreachable++;
-    const Status status = Unavailable("TCSP unreachable");
-    if (done) done(status);
-    return status;
-  }
-  stats_.runtime_ops++;
-  const Status none = NotFound("no firewall rules deployed for subscriber " +
-                               std::to_string(subscriber));
-  if (isps_.empty()) {
-    if (done) done(none);
-    return none;
-  }
-  auto state = std::make_shared<RuntimeOpState>();
-  state->slots.resize(isps_.size());
-  state->pending = isps_.size();
-  auto done_shared =
-      std::make_shared<std::function<void(const Status&)>>(std::move(done));
-  for (std::size_t i = 0; i < isps_.size(); ++i) {
-    IspNms* nms = isps_[i];
-    ControlChannel::CallOptions opts;
-    opts.retry = config_.retry;
-    IspChannel(nms).Call(
-        [nms, subscriber, active, state, i]() -> Status {
-          state->slots[i] =
-              nms->SetFirewallRulesActiveLocal(subscriber, active);
-          return Status::Ok();
-        },
-        [state, done_shared, none](const Status& status,
-                                   const CallOutcome&) {
-          state->worst = WorseStatus(state->worst, status);
-          if (--state->pending > 0) return;
-          std::size_t touched = 0;
-          for (const RuntimeOpResult& slot : state->slots) {
-            touched += slot.touched;
-          }
-          state->final_status =
-              state->worst.ok() && touched == 0 ? none : state->worst;
-          state->final_known = true;
-          if (*done_shared) (*done_shared)(state->final_status);
-        },
-        opts);
-  }
-  // Fault-free same-shard channels completed inline; otherwise the
-  // outcome is still converging through retries and arrives via `done`.
-  if (state->final_known) return state->final_status;
-  return Unavailable("runtime operation in flight");
+  return RelayRuntimeOp<Status>(
+      [subscriber, active](IspNms* nms) {
+        return nms->SetFirewallRulesActiveLocal(subscriber, active);
+      },
+      [subscriber](const Status& worst,
+                   const std::vector<RuntimeOpResult>& slots) -> Status {
+        std::size_t touched = 0;
+        for (const RuntimeOpResult& slot : slots) touched += slot.touched;
+        if (!worst.ok() || touched > 0) return worst;
+        return NotFound("no firewall rules deployed for subscriber " +
+                        std::to_string(subscriber));
+      },
+      std::move(done));
 }
 
 Status Tcsp::SetRateLimit(SubscriberId subscriber, double rate_pps,
                           std::function<void(const Status&)> done) {
-  if (!TcspReachable()) {
-    stats_.requests_while_unreachable++;
-    const Status status = Unavailable("TCSP unreachable");
-    if (done) done(status);
-    return status;
-  }
-  stats_.runtime_ops++;
-  const Status none = NotFound("no rate limiters deployed for subscriber " +
-                               std::to_string(subscriber));
-  if (isps_.empty()) {
-    if (done) done(none);
-    return none;
-  }
-  auto state = std::make_shared<RuntimeOpState>();
-  state->slots.resize(isps_.size());
-  state->pending = isps_.size();
-  auto done_shared =
-      std::make_shared<std::function<void(const Status&)>>(std::move(done));
-  for (std::size_t i = 0; i < isps_.size(); ++i) {
-    IspNms* nms = isps_[i];
-    ControlChannel::CallOptions opts;
-    opts.retry = config_.retry;
-    IspChannel(nms).Call(
-        [nms, subscriber, rate_pps, state, i]() -> Status {
-          state->slots[i] = nms->SetRateLimitLocal(subscriber, rate_pps);
-          return Status::Ok();
-        },
-        [state, done_shared, none](const Status& status,
-                                   const CallOutcome&) {
-          state->worst = WorseStatus(state->worst, status);
-          if (--state->pending > 0) return;
-          std::size_t touched = 0;
-          for (const RuntimeOpResult& slot : state->slots) {
-            touched += slot.touched;
-          }
-          state->final_status =
-              state->worst.ok() && touched == 0 ? none : state->worst;
-          state->final_known = true;
-          if (*done_shared) (*done_shared)(state->final_status);
-        },
-        opts);
-  }
-  if (state->final_known) return state->final_status;
-  return Unavailable("runtime operation in flight");
+  return RelayRuntimeOp<Status>(
+      [subscriber, rate_pps](IspNms* nms) {
+        return nms->SetRateLimitLocal(subscriber, rate_pps);
+      },
+      [subscriber](const Status& worst,
+                   const std::vector<RuntimeOpResult>& slots) -> Status {
+        std::size_t touched = 0;
+        for (const RuntimeOpResult& slot : slots) touched += slot.touched;
+        if (!worst.ok() || touched > 0) return worst;
+        return NotFound("no rate limiters deployed for subscriber " +
+                        std::to_string(subscriber));
+      },
+      std::move(done));
 }
 
 Result<Tcsp::StatisticsReport> Tcsp::ReadStatistics(
     SubscriberId subscriber,
     std::function<void(const Result<StatisticsReport>&)> done) {
-  if (!TcspReachable()) {
-    stats_.requests_while_unreachable++;
-    const Result<StatisticsReport> result =
-        Status(Unavailable("TCSP unreachable"));
-    if (done) done(result);
-    return result;
-  }
-  stats_.runtime_ops++;
-  if (isps_.empty()) {
-    const Result<StatisticsReport> result =
-        Status(NotFound("no statistics service deployed"));
-    if (done) done(result);
-    return result;
-  }
-  auto state = std::make_shared<RuntimeOpState>();
-  state->slots.resize(isps_.size());
-  state->pending = isps_.size();
-  auto done_shared = std::make_shared<
-      std::function<void(const Result<StatisticsReport>&)>>(std::move(done));
-  auto final_result = std::make_shared<Result<StatisticsReport>>(
-      Status(Unavailable("runtime operation in flight")));
-  for (std::size_t i = 0; i < isps_.size(); ++i) {
-    IspNms* nms = isps_[i];
-    ControlChannel::CallOptions opts;
-    opts.retry = config_.retry;
-    IspChannel(nms).Call(
-        [nms, subscriber, state, i]() -> Status {
-          state->slots[i] = nms->ReadStatisticsLocal(subscriber);
-          return Status::Ok();
-        },
-        [state, done_shared, final_result](const Status& status,
-                                           const CallOutcome&) {
-          state->worst = WorseStatus(state->worst, status);
-          if (--state->pending > 0) return;
-          StatisticsReport report;
-          for (const RuntimeOpResult& slot : state->slots) {
-            report.vantage_points += slot.touched;
-            report.packets += slot.packets;
-            report.bytes += slot.bytes;
-          }
-          if (!state->worst.ok()) {
-            *final_result = state->worst;
-          } else if (report.vantage_points == 0) {
-            *final_result = Status(NotFound("no statistics service deployed"));
-          } else {
-            *final_result = report;
-          }
-          state->final_known = true;
-          if (*done_shared) (*done_shared)(*final_result);
-        },
-        opts);
-  }
-  return *final_result;
+  return RelayRuntimeOp<Result<StatisticsReport>>(
+      [subscriber](IspNms* nms) {
+        return nms->ReadStatisticsLocal(subscriber);
+      },
+      [](const Status& worst, const std::vector<RuntimeOpResult>& slots)
+          -> Result<StatisticsReport> {
+        if (!worst.ok()) return worst;
+        StatisticsReport report;
+        for (const RuntimeOpResult& slot : slots) {
+          report.vantage_points += slot.touched;
+          report.packets += slot.packets;
+          report.bytes += slot.bytes;
+        }
+        if (report.vantage_points == 0) {
+          return Status(NotFound("no statistics service deployed"));
+        }
+        return report;
+      },
+      std::move(done));
 }
 
 Result<std::string> Tcsp::ReadLogs(
     SubscriberId subscriber, std::size_t max_lines_per_device,
     std::function<void(const Result<std::string>&)> done) {
-  if (!TcspReachable()) {
-    stats_.requests_while_unreachable++;
-    const Result<std::string> result =
-        Status(Unavailable("TCSP unreachable"));
-    if (done) done(result);
-    return result;
-  }
-  stats_.runtime_ops++;
-  if (isps_.empty()) {
-    const Result<std::string> result =
-        Status(NotFound("no logging service deployed"));
-    if (done) done(result);
-    return result;
-  }
-  auto state = std::make_shared<RuntimeOpState>();
-  state->slots.resize(isps_.size());
-  state->pending = isps_.size();
-  auto done_shared =
-      std::make_shared<std::function<void(const Result<std::string>&)>>(
-          std::move(done));
-  auto final_result = std::make_shared<Result<std::string>>(
-      Status(Unavailable("runtime operation in flight")));
-  for (std::size_t i = 0; i < isps_.size(); ++i) {
-    IspNms* nms = isps_[i];
-    ControlChannel::CallOptions opts;
-    opts.retry = config_.retry;
-    IspChannel(nms).Call(
-        [nms, subscriber, max_lines_per_device, state, i]() -> Status {
-          state->slots[i] =
-              nms->ReadLogsLocal(subscriber, max_lines_per_device);
-          return Status::Ok();
-        },
-        [state, done_shared, final_result](const Status& status,
-                                           const CallOutcome&) {
-          state->worst = WorseStatus(state->worst, status);
-          if (--state->pending > 0) return;
-          std::string logs;
-          std::size_t loggers = 0;
-          // Slots concatenate in enrolment order, so the aggregate is
-          // deterministic no matter which channel answered last.
-          for (const RuntimeOpResult& slot : state->slots) {
-            logs += slot.logs;
-            loggers += slot.touched;
-          }
-          if (!state->worst.ok()) {
-            *final_result = state->worst;
-          } else if (loggers == 0) {
-            *final_result = Status(NotFound("no logging service deployed"));
-          } else {
-            *final_result = std::move(logs);
-          }
-          state->final_known = true;
-          if (*done_shared) (*done_shared)(*final_result);
-        },
-        opts);
-  }
-  return *final_result;
+  return RelayRuntimeOp<Result<std::string>>(
+      [subscriber, max_lines_per_device](IspNms* nms) {
+        return nms->ReadLogsLocal(subscriber, max_lines_per_device);
+      },
+      [](const Status& worst, const std::vector<RuntimeOpResult>& slots)
+          -> Result<std::string> {
+        if (!worst.ok()) return worst;
+        std::string logs;
+        std::size_t loggers = 0;
+        // Slots concatenate in enrolment order, so the aggregate is
+        // deterministic no matter which channel answered last.
+        for (const RuntimeOpResult& slot : slots) {
+          logs += slot.logs;
+          loggers += slot.touched;
+        }
+        if (loggers == 0) {
+          return Status(NotFound("no logging service deployed"));
+        }
+        return logs;
+      },
+      std::move(done));
 }
 
 Status Tcsp::RemoveService(SubscriberId subscriber) {

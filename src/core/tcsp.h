@@ -143,6 +143,10 @@ class Tcsp {
       CompletionPolicy policy = CompletionPolicy::kImmediate,
       std::function<void(const DeploymentReport&)> done = nullptr);
 
+  /// Withdraws the subscriber's service at every enrolled ISP. Unlike
+  /// deployment and the runtime operations, withdrawal calls each NMS
+  /// directly instead of riding the TCSP->NMS ControlChannels, so an
+  /// attached fault plan never loses, duplicates or delays it.
   Status RemoveService(SubscriberId subscriber);
 
   /// Plan-soundness oracle entry: the data plane (or a test harness that
@@ -161,22 +165,15 @@ class Tcsp {
   //  corresponding requests to the TCSP, which relays them to the
   //  appropriate ISP's network management systems."
   //
-  // Each operation rides the TCSP->NMS control channels (one Call per
-  // enrolled ISP), so with an injector attached it inherits the same
-  // loss/retry/dedup semantics as deployment. The NMS-side handlers are
-  // idempotent and completion aggregates in a once-only callback. On a
-  // fault-free same-shard world every channel completes inline and the
-  // returned value is final; otherwise the return is a provisional
-  // kUnavailable-style snapshot and the final outcome arrives through
-  // the optional `done` callback.
-
-  /// Applies `fn` to every stage graph of the subscriber across all
-  /// enrolled ISPs; returns the number of graphs visited. (Direct local
-  /// iteration — the channel-riding operations below are built on the
-  /// per-NMS equivalents.)
-  std::size_t ForEachStageGraph(
-      SubscriberId subscriber,
-      const std::function<void(NodeId, ProcessingStage, ModuleGraph&)>& fn);
+  // Each operation travels the same TCSP->ISP fan-out as deployment
+  // (FanOutToIsps: one ControlChannel Call per enrolled ISP), so with an
+  // injector attached it inherits the same loss/retry/dedup semantics.
+  // The NMS-side handlers are idempotent and completion aggregates in a
+  // once-only callback. On a fault-free same-shard world every channel
+  // completes inline and the returned value is final; otherwise the
+  // return is a provisional Unavailable("runtime operation in flight")
+  // and the final outcome arrives through the optional `done` callback.
+  // An unreachable TCSP fails the operation at once, `done` included.
 
   /// Arms/disarms every firewall MatchModule of the subscriber.
   Status SetFirewallRulesActive(SubscriberId subscriber, bool active,
@@ -229,6 +226,33 @@ class Tcsp {
   bool TcspReachable() const;
   /// Lazily built TCSP->NMS channel for one enrolled ISP.
   ControlChannel& IspChannel(IspNms* nms);
+  /// The one TCSP->ISP relay of Fig. 5: one IspChannel Call per enrolled
+  /// ISP in enrolment order, with `options(nms)` as its CallOptions.
+  /// `request(isp, nms)` runs NMS-side on every delivered copy, `isp`
+  /// being the ISP's index in enrolment order; `answered` (optional)
+  /// fills the caller's per-ISP slot as each answer lands; `finished`
+  /// fires exactly once after the last ISP answered, with every status
+  /// folded by WorseStatus (at once with Ok when no ISP is enrolled).
+  /// Fault-free same-shard channels complete all of it before returning.
+  void FanOutToIsps(
+      const std::function<ControlChannel::CallOptions(IspNms*)>& options,
+      std::function<Status(std::size_t isp, IspNms* nms)> request,
+      std::function<void(std::size_t isp, const Status&,
+                         const CallOutcome&)>
+          answered,
+      std::function<void(const Status& worst)> finished);
+  /// A runtime operation over FanOutToIsps: fails at once while the TCSP
+  /// is unreachable, else runs `local` at every ISP into one slot each
+  /// and `fold`s the slots (in enrolment order) and the worst channel
+  /// status into the result. Returns it when final, else the provisional
+  /// Unavailable("runtime operation in flight"); `done` gets the final.
+  template <typename R>
+  R RelayRuntimeOp(
+      std::function<RuntimeOpResult(IspNms*)> local,
+      std::function<R(const Status& worst,
+                      const std::vector<RuntimeOpResult>& slots)>
+          fold,
+      std::function<void(const R&)> done);
   /// Runs the static verifier over the request's reference stage graphs
   /// so the outcome can be attached to the DeploymentReport. The
   /// authoritative admission gate is each NMS's AnalyzeDeployment (same

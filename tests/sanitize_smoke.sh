@@ -3,8 +3,9 @@
 # in a separate tree and run the lifetime-sensitive subset: the telemetry
 # layer (collector owners dying before the registry, sampler callbacks
 # outliving the sampler, event-ring linearisation), the fault-injected
-# control plane (retry closures capturing channel state across simulated
-# time, duplicated deliveries, chaos-driven teardown ordering), the
+# control plane and the TCSP runtime operations that ride it (retry
+# closures capturing channel and fan-out state across simulated time,
+# duplicated deliveries, chaos-driven teardown ordering), the
 # chaos-containment suite (data-plane fault plans, router restarts and
 # the compromised-NMS adversary from docs/fault_injection.md), and the
 # static-analysis layer (random-graph soundness harness) — without paying
@@ -25,7 +26,7 @@ set -euo pipefail
 
 SRC_DIR="${1:-$(cd "$(dirname "$0")/.." && pwd)}"
 BUILD_DIR="${2:-${SRC_DIR}/build-sanitize}"
-FILTER="${ADTC_SANITIZE_FILTER:-Telemetry*:*Sampler*:MetricsRegistry*:Tracer*:Json*:EventBuffer*:EnumNames*:CounterTest*:ScopedWallTimer*:FaultInjector*:ControlChannel*:RetryPolicy*:WorseStatus*:DeploymentId*:*ChaosConvergence*:*ChaosContainment*:VerifierTest*:NetworkVerifierTest*:PlanSoundnessTest*:AnalysisSoundnessTest*:StaticAnalysisTest*:FlightRecorder*:TraceAnalyzer*:DurationPercentile*:*TraceReassembly*:SprtDetector*:EwmaDetector*:ClosedLoop*:DropAccounting*}"
+FILTER="${ADTC_SANITIZE_FILTER:-Telemetry*:*Sampler*:MetricsRegistry*:Tracer*:Json*:EventBuffer*:EnumNames*:CounterTest*:ScopedWallTimer*:FaultInjector*:ControlChannel*:RetryPolicy*:WorseStatus*:DeploymentId*:*ChaosConvergence*:*ChaosContainment*:VerifierTest*:NetworkVerifierTest*:PlanSoundnessTest*:AnalysisSoundnessTest*:StaticAnalysisTest*:FlightRecorder*:TraceAnalyzer*:DurationPercentile*:*TraceReassembly*:SprtDetector*:EwmaDetector*:ClosedLoop*:DropAccounting*:RuntimeOps*}"
 TSAN_FILTER="${ADTC_TSAN_FILTER:-ThreadPoolTest*:ParallelForTest*:NetworkTest*:AdaptiveDeviceTest*:FlowCache*:AnalysisSoundnessTest*:NetworkVerifierTest*:PlanSoundnessTest*:FlightRecorder*:ShardedSingleTest*:ShardedMultiTest*:ShardStressTest*:ShardDeterminismTest*:*ChaosContainment*:SprtDetector*:ClosedLoop*:DropAccounting*}"
 
 cmake -S "${SRC_DIR}" -B "${BUILD_DIR}" -DADTC_SANITIZE=ON \
