@@ -65,11 +65,10 @@ void BM_FastPathMiss(benchmark::State& state) {
 BENCHMARK(BM_FastPathMiss);
 
 void BM_RedirectTwoStage(benchmark::State& state) {
-  // Packet owned on both ends: both stages run. range(0)==0 disables the
-  // flow cache (every iteration pays lookups + module execution); 1 is
-  // the steady-state cached path the router sees on a long flow.
+  // Packet owned on both ends: both stages run, every iteration pays both
+  // lookups and the module execution. The /0 argument is unused; it keeps
+  // the row's name, and so its bench/BENCH_t4.json baseline.
   AdaptiveDevice device(0);
-  device.set_flow_cache_enabled(state.range(0) == 1);
   const auto cert_src = Ca().Issue(1, "s", {NodePrefix(5)}, 0, Seconds(1e6));
   const auto cert_dst = Ca().Issue(2, "d", {NodePrefix(6)}, 0, Seconds(1e6));
   (void)device.InstallDeployment(
@@ -82,25 +81,7 @@ void BM_RedirectTwoStage(benchmark::State& state) {
     benchmark::DoNotOptimize(device.Process(p, ctx));
   }
 }
-BENCHMARK(BM_RedirectTwoStage)->Arg(0)->Arg(1);
-
-void BM_FlowCacheChurn(benchmark::State& state) {
-  // Worst case for the cache: every packet is a new flow, so every
-  // iteration is a miss plus a fill (and periodically a wholesale clear
-  // when the cache reaches capacity).
-  AdaptiveDevice device(0);
-  const auto cert = Ca().Issue(1, "o", {NodePrefix(6)}, 0, Seconds(1e6));
-  (void)device.InstallDeployment(
-      {cert, {NodePrefix(6)}, std::nullopt, RuleChain(2)});
-  Packet p = MakePacket(1, 6);
-  RouterContext ctx;
-  std::uint16_t port = 0;
-  for (auto _ : state) {
-    p.src_port = port++;
-    benchmark::DoNotOptimize(device.Process(p, ctx));
-  }
-}
-BENCHMARK(BM_FlowCacheChurn);
+BENCHMARK(BM_RedirectTwoStage)->Arg(0);
 
 void BM_BatchProcess(benchmark::State& state) {
   // The router-facing entry point: a PacketBatch driven through
@@ -121,8 +102,8 @@ void BM_BatchProcess(benchmark::State& state) {
 BENCHMARK(BM_BatchProcess);
 
 void BM_FlightRecorder(benchmark::State& state) {
-  // Forensics overhead on the steady-state cached redirect path — the
-  // packets a recorder actually captures. range(0)==0 is the default
+  // Forensics overhead on the redirect path — the packets a recorder
+  // actually captures. range(0)==0 is the default
   // (no recorder attached: one never-taken null test per packet, the
   // perf-smoke guarded configuration); 1 records every verdict into the
   // bounded ring.
@@ -143,9 +124,6 @@ BENCHMARK(BM_FlightRecorder)->Arg(0)->Arg(1);
 void BM_RuleChainLength(benchmark::State& state) {
   const int rules = static_cast<int>(state.range(0));
   AdaptiveDevice device(0);
-  // Cache off: this benchmark measures module-chain execution cost, and
-  // a cached verdict would flatten the curve to O(1).
-  device.set_flow_cache_enabled(false);
   const auto cert = Ca().Issue(1, "o", {NodePrefix(6)}, 0, Seconds(1e6));
   (void)device.InstallDeployment(
       {cert, {NodePrefix(6)}, std::nullopt, RuleChain(rules)});
@@ -164,8 +142,6 @@ void BM_RedirectTableSize(benchmark::State& state) {
   // grows — the Sec. 5.3 "number of rules installed" scaling factor.
   const int subscribers = static_cast<int>(state.range(0));
   AdaptiveDevice device(0);
-  // Cache off: the subject is the redirect-table (trie) lookup itself.
-  device.set_flow_cache_enabled(false);
   for (int i = 0; i < subscribers; ++i) {
     const NodeId node = static_cast<NodeId>(1000 + i);
     const auto cert = Ca().Issue(static_cast<SubscriberId>(i + 1),

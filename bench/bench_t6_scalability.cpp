@@ -46,7 +46,6 @@ CertificateAuthority& Ca() {
 struct DeviceLoad {
   std::size_t redirect_prefixes;
   double fast_path_ns;
-  double fast_path_uncached_ns;
 };
 
 DeviceLoad MeasureDevice(int subscribers) {
@@ -65,22 +64,15 @@ DeviceLoad MeasureDevice(int subscribers) {
   p.dst = HostAddress(2, 1);  // fast-path miss
   RouterContext ctx;
   const int iterations = 1000000;
-  // Drive the device the way the router does: through the batch API,
-  // once with the flow cache (steady state) and once without (every
-  // packet pays the redirect lookups).
-  auto measure = [&](bool cached) {
-    device.set_flow_cache_enabled(cached);
-    const double start = NowMicros();
-    for (int i = 0; i < iterations; ++i) {
-      PacketBatch batch;
-      batch.Add(p);
-      device.ProcessBatch(batch, ctx);
-    }
-    return (NowMicros() - start) / iterations * 1000.0;
-  };
-  const double uncached_ns = measure(false);
-  const double cached_ns = measure(true);
-  return {device.redirect_prefix_count(), cached_ns, uncached_ns};
+  // Drive the device the way the router does: through the batch API.
+  const double start = NowMicros();
+  for (int i = 0; i < iterations; ++i) {
+    PacketBatch batch;
+    batch.Add(p);
+    device.ProcessBatch(batch, ctx);
+  }
+  const double ns = (NowMicros() - start) / iterations * 1000.0;
+  return {device.redirect_prefix_count(), ns};
 }
 
 /// One full attack world run on `shards` simulator shards: wall-clock
@@ -213,14 +205,13 @@ int main(int argc, char** argv) {
   // --- rules vs subscribers ---
   Table sub_table("device state & datapath cost vs subscribers");
   sub_table.SetHeader({"subscribers", "redirect prefixes",
-                       "fast-path cost/pkt", "uncached"});
+                       "fast-path cost/pkt"});
   for (const int subscribers : {10, 100, 1000, 10000}) {
     const DeviceLoad load = MeasureDevice(subscribers);
     sub_table.AddRow({Table::Int(subscribers),
                       Table::Int(static_cast<long long>(
                           load.redirect_prefixes)),
-                      Table::Num(load.fast_path_ns, 1) + " ns",
-                      Table::Num(load.fast_path_uncached_ns, 1) + " ns"});
+                      Table::Num(load.fast_path_ns, 1) + " ns"});
     results.AddScalar(
         "fast_path_ns/subscribers=" + std::to_string(subscribers),
         load.fast_path_ns);

@@ -86,8 +86,7 @@ struct EffectSignature {
   std::int32_t wire_bytes_delta_max = 0;
 
   /// Whether the module keeps cross-packet state (counters, buckets,
-  /// digests). Reported per path; stateful modules also disable the
-  /// flow verdict cache (Cacheability in core/component.h).
+  /// digests). Reported per path.
   bool stateful = true;
 
   ContextRequirement context = ContextRequirement::kNone;

@@ -1,7 +1,5 @@
 #include "core/adaptive_device.h"
 
-#include <algorithm>
-
 #include "net/network.h"
 #include "obs/trace_context.h"
 
@@ -82,12 +80,6 @@ void AdaptiveDevice::BindTelemetry(obs::Telemetry* telemetry) {
                    static_cast<double>(stats_.dropped_packets())});
     out.push_back({prefix + "safety_violations",
                    static_cast<double>(stats_.safety_violations)});
-    out.push_back({prefix + "flow_cache_hits",
-                   static_cast<double>(stats_.flow_cache_hits)});
-    out.push_back({prefix + "flow_cache_misses",
-                   static_cast<double>(stats_.flow_cache_misses)});
-    out.push_back({prefix + "flow_cache_entries",
-                   static_cast<double>(flow_cache_entries_gauge_.value())});
     out.push_back({prefix + "installs_applied",
                    static_cast<double>(stats_.installs_applied)});
     out.push_back({prefix + "duplicate_installs",
@@ -140,14 +132,8 @@ void AdaptiveDevice::Restart() {
   applied_installs_.clear();
   src_redirect_ = PrefixTrie<SubscriberId>();
   dst_redirect_ = PrefixTrie<SubscriberId>();
-  flow_cache_.clear();
-  // Generation keeps moving forward (never resets): an entry somehow
-  // surviving in a caller's hands can never validate against post-restart
-  // state.
-  InvalidateFlowCache();
   deployments_gauge_ = 0;
   redirect_prefixes_gauge_ = 0;
-  flow_cache_entries_gauge_ = 0;
   stats_.restarts++;
 }
 
@@ -156,7 +142,6 @@ bool AdaptiveDevice::Quarantine(SubscriberId subscriber) {
   if (it == deployments_.end() || it->second.quarantined) return false;
   it->second.quarantined = true;
   stats_.quarantines++;
-  InvalidateFlowCache();
   return true;
 }
 
@@ -221,7 +206,6 @@ Status AdaptiveDevice::InstallDeploymentImpl(DeploymentSpec spec) {
   deployments_.emplace(cert.subscriber, std::move(deployment));
   deployments_gauge_ = deployments_.size();
   redirect_prefixes_gauge_ = src_redirect_.size();
-  InvalidateFlowCache();
   stats_.installs_applied++;
   return Status::Ok();
 }
@@ -239,11 +223,6 @@ Status AdaptiveDevice::RemoveDeployment(SubscriberId subscriber) {
   deployments_.erase(it);
   deployments_gauge_ = deployments_.size();
   redirect_prefixes_gauge_ = src_redirect_.size();
-  // Generation first, then the map can shrink: any entry holding a
-  // pointer into the erased node is already unreachable.
-  InvalidateFlowCache();
-  flow_cache_.clear();
-  flow_cache_entries_gauge_ = 0;
   return Status::Ok();
 }
 
@@ -266,8 +245,7 @@ AdaptiveDevice::StageRun AdaptiveDevice::RunStage(Deployment& deployment,
                                                   ProcessingStage stage,
                                                   Packet& packet,
                                                   const RouterContext& ctx,
-                                                  NodeId in_from_node,
-                                                  bool collect_cacheability) {
+                                                  NodeId in_from_node) {
   StageRun run;
   auto& graph = stage == ProcessingStage::kSourceOwner
                     ? deployment.source_stage
@@ -297,29 +275,7 @@ AdaptiveDevice::StageRun AdaptiveDevice::RunStage(Deployment& deployment,
   }
 
   const PacketInvariants before = PacketInvariants::Capture(packet);
-  if (collect_cacheability) {
-    visited_scratch_.clear();
-    run.verdict = graph->Execute(packet, device_ctx, &visited_scratch_);
-    for (const int id : visited_scratch_) {
-      switch (graph->module(id)->cacheability()) {
-        case Cacheability::kPure:
-          break;
-        case Cacheability::kPureTransform: {
-          const std::uint32_t to = graph->module(id)->cache_truncate_to();
-          if (to != 0) {
-            run.truncate_to =
-                run.truncate_to == 0 ? to : std::min(run.truncate_to, to);
-          }
-          break;
-        }
-        case Cacheability::kStateful:
-          run.pure = false;
-          break;
-      }
-    }
-  } else {
-    run.verdict = graph->Execute(packet, device_ctx);
-  }
+  run.verdict = graph->Execute(packet, device_ctx);
   if (run.verdict == Verdict::kDrop) {
     run.drop_reason = graph->last_drop_reason();
   }
@@ -328,9 +284,6 @@ AdaptiveDevice::StageRun AdaptiveDevice::RunStage(Deployment& deployment,
     stats_.safety_violations++;
     deployment.quarantined = true;
     stats_.quarantines++;
-    // Quarantine changes this deployment's treatment for every flow that
-    // touches it; cached verdicts from before the violation are void.
-    InvalidateFlowCache();
     device_ctx.Emit(EventKind::kSafetyViolation,
                     std::string(InvariantViolationName(violation)) +
                         " by deployment of '" + deployment.cert.subject +
@@ -338,52 +291,8 @@ AdaptiveDevice::StageRun AdaptiveDevice::RunStage(Deployment& deployment,
     // Fail open: the offending deployment loses control, traffic flows.
     run.verdict = Verdict::kForward;
     run.drop_reason = DatapathDropReason::kNone;
-    run.pure = false;
-    return run;
   }
   return run;
-}
-
-Verdict AdaptiveDevice::ReplayCachedVerdict(FlowCacheEntry& entry,
-                                            Packet& packet) {
-  // Mirror the uncached counter updates exactly, including the
-  // stage-1-drop short circuit that keeps stage-2 counters untouched.
-  if (!entry.redirected) {
-    stats_.fast_path_packets++;
-    return Verdict::kForward;
-  }
-  stats_.redirected_packets++;
-  if (entry.src_dep != nullptr) {
-    entry.src_dep->packets_seen++;
-    if (entry.stage1_ran) {
-      stats_.stage1_runs++;
-      entry.src_dep->source_stage->RecordCachedExecution(entry.drop_stage ==
-                                                         1);
-    }
-    if (entry.drop_stage == 1) {
-      stats_.drops_by_reason[static_cast<std::size_t>(entry.drop_reason)]++;
-      return Verdict::kDrop;
-    }
-  }
-  if (entry.dst_dep != nullptr) {
-    if (entry.dst_dep != entry.src_dep) {
-      entry.dst_dep->packets_seen++;
-    }
-    if (entry.stage2_ran) {
-      stats_.stage2_runs++;
-      entry.dst_dep->destination_stage->RecordCachedExecution(
-          entry.drop_stage == 2);
-    }
-    if (entry.drop_stage == 2) {
-      stats_.drops_by_reason[static_cast<std::size_t>(entry.drop_reason)]++;
-      return Verdict::kDrop;
-    }
-  }
-  if (entry.truncate_to != 0 && packet.size_bytes > entry.truncate_to) {
-    packet.size_bytes = entry.truncate_to;
-    packet.payload_hash = 0;
-  }
-  return Verdict::kForward;
 }
 
 Verdict AdaptiveDevice::Process(Packet& packet, const RouterContext& ctx) {
@@ -394,167 +303,67 @@ Verdict AdaptiveDevice::Process(Packet& packet, const RouterContext& ctx) {
   const obs::ScopedWallTimer process_timer(profiling ? process_wall_ns_
                                                      : nullptr);
 
+  const SubscriberId* src_owner;
+  const SubscriberId* dst_owner;
+  {
+    const obs::ScopedWallTimer lookup_timer(profiling ? lookup_wall_ns_
+                                                      : nullptr);
+    src_owner = src_redirect_.LongestMatch(packet.src);
+    dst_owner = dst_redirect_.LongestMatch(packet.dst);
+  }
+  if (src_owner == nullptr && dst_owner == nullptr) {
+    stats_.fast_path_packets++;
+    if (recorder_ != nullptr) {
+      RecordFlight(packet, ctx, Verdict::kForward, DatapathDropReason::kNone,
+                   /*redirected=*/false, /*stage2=*/false);
+    }
+    return Verdict::kForward;
+  }
+  stats_.redirected_packets++;
   NodeId in_from_node = kInvalidNode;
   if (ctx.net != nullptr && ctx.in_link != kInvalidLink) {
     const LinkTarget& from = ctx.net->link(ctx.in_link).from;
     if (!from.is_host) in_from_node = from.id;
   }
 
-  const FlowKey key{packet.src,      packet.dst,  packet.proto,
-                    packet.src_port, packet.dst_port,
-                    ctx.in_kind,     in_from_node};
-  FlowCacheEntry* entry = nullptr;
-  if (flow_cache_enabled_) {
-    const auto it = flow_cache_.find(key);
-    if (it != flow_cache_.end()) {
-      if (EntryCurrent(it->second)) {
-        entry = &it->second;
-      } else {
-        flow_cache_.erase(it);
-        flow_cache_entries_gauge_ = flow_cache_.size();
-      }
-    }
-  }
-  if (entry != nullptr && entry->full_verdict) {
-    stats_.flow_cache_hits++;
-    const Verdict cached = ReplayCachedVerdict(*entry, packet);
-    if (recorder_ != nullptr) {
-      RecordFlight(packet, ctx, cached, entry->drop_reason,
-                   /*cache_hit=*/true, entry->redirected, entry->stage2_ran);
-    }
-    return cached;
-  }
-
-  // Resolve the redirect tables and deployment records — from the partial
-  // cache entry when one exists (saving both LPM walks and map probes),
-  // from the tries otherwise.
   Deployment* src_dep = nullptr;
   Deployment* dst_dep = nullptr;
-  bool redirected = false;
-  if (entry != nullptr) {
-    stats_.flow_cache_hits++;
-    src_dep = entry->src_dep;
-    dst_dep = entry->dst_dep;
-    redirected = entry->redirected;
-  } else {
-    if (flow_cache_enabled_) stats_.flow_cache_misses++;
-    const SubscriberId* src_owner;
-    const SubscriberId* dst_owner;
-    {
-      const obs::ScopedWallTimer lookup_timer(profiling ? lookup_wall_ns_
-                                                        : nullptr);
-      src_owner = src_redirect_.LongestMatch(packet.src);
-      dst_owner = dst_redirect_.LongestMatch(packet.dst);
-    }
-    redirected = src_owner != nullptr || dst_owner != nullptr;
-    if (src_owner != nullptr) {
-      const auto it = deployments_.find(*src_owner);
-      if (it != deployments_.end()) src_dep = &it->second;
-    }
-    if (dst_owner != nullptr) {
-      const auto it = deployments_.find(*dst_owner);
-      if (it != deployments_.end()) dst_dep = &it->second;
-    }
+  if (src_owner != nullptr) {
+    const auto it = deployments_.find(*src_owner);
+    if (it != deployments_.end()) src_dep = &it->second;
+  }
+  if (dst_owner != nullptr) {
+    const auto it = deployments_.find(*dst_owner);
+    if (it != deployments_.end()) dst_dep = &it->second;
   }
 
-  // Execute, remembering everything a cache fill needs. `fill` is off for
-  // partial-entry hits (the entry already exists) and when caching is
-  // disabled.
-  const bool fill = flow_cache_enabled_ && entry == nullptr;
-  const std::uint64_t fill_generation = generation_;
-  Verdict verdict = Verdict::kForward;
-  std::uint8_t drop_stage = 0;
-  DatapathDropReason drop_reason = DatapathDropReason::kNone;
-  bool stage1_ran = false;
+  // Stage 1: control by the source-address owner; a drop here
+  // short-circuits stage 2.
+  StageRun run;
   bool stage2_ran = false;
-  bool pure = true;
-  std::uint32_t truncate_to = 0;
-
-  if (!redirected) {
-    stats_.fast_path_packets++;
-  } else {
-    stats_.redirected_packets++;
-    // Stage 1: control by the source-address owner.
-    if (src_dep != nullptr) {
-      src_dep->packets_seen++;
-      const StageRun run = RunStage(*src_dep, ProcessingStage::kSourceOwner,
-                                    packet, ctx, in_from_node, fill);
-      stage1_ran = run.ran;
-      pure = pure && run.pure;
-      truncate_to = run.truncate_to != 0
-                        ? (truncate_to == 0
-                               ? run.truncate_to
-                               : std::min(truncate_to, run.truncate_to))
-                        : truncate_to;
-      if (run.verdict == Verdict::kDrop) {
-        stats_.drops_by_reason[static_cast<std::size_t>(run.drop_reason)]++;
-        verdict = Verdict::kDrop;
-        drop_stage = 1;
-        drop_reason = run.drop_reason;
-      }
-    }
-    // Stage 2: control by the destination-address owner.
-    if (drop_stage == 0 && dst_dep != nullptr) {
-      if (dst_dep != src_dep) {
-        dst_dep->packets_seen++;
-      }
-      const StageRun run =
-          RunStage(*dst_dep, ProcessingStage::kDestinationOwner, packet, ctx,
-                   in_from_node, fill);
-      stage2_ran = run.ran;
-      pure = pure && run.pure;
-      truncate_to = run.truncate_to != 0
-                        ? (truncate_to == 0
-                               ? run.truncate_to
-                               : std::min(truncate_to, run.truncate_to))
-                        : truncate_to;
-      if (run.verdict == Verdict::kDrop) {
-        stats_.drops_by_reason[static_cast<std::size_t>(run.drop_reason)]++;
-        verdict = Verdict::kDrop;
-        drop_stage = 2;
-        drop_reason = run.drop_reason;
-      }
-    }
+  if (src_dep != nullptr) {
+    run = RunStage(*src_dep, ProcessingStage::kSourceOwner, packet, ctx,
+                   in_from_node);
   }
-
-  // Fill — unless the configuration moved underneath us (a quarantine
-  // fired during this very packet), in which case the observed behaviour
-  // no longer describes the flow's future treatment.
-  if (fill && generation_ == fill_generation) {
-    if (flow_cache_.size() >= kMaxFlowCacheEntries) flow_cache_.clear();
-    FlowCacheEntry fresh;
-    fresh.generation = generation_;
-    fresh.src_dep = src_dep;
-    fresh.dst_dep = dst_dep;
-    fresh.src_revision =
-        src_dep != nullptr && src_dep->source_stage
-            ? src_dep->source_stage->config_revision()
-            : 0;
-    fresh.dst_revision =
-        dst_dep != nullptr && dst_dep->destination_stage
-            ? dst_dep->destination_stage->config_revision()
-            : 0;
-    fresh.redirected = redirected;
-    fresh.full_verdict = pure;
-    fresh.verdict = verdict;
-    fresh.drop_stage = drop_stage;
-    fresh.drop_reason = drop_reason;
-    fresh.stage1_ran = stage1_ran;
-    fresh.stage2_ran = stage2_ran;
-    fresh.truncate_to = truncate_to;
-    flow_cache_[key] = fresh;
-    flow_cache_entries_gauge_ = flow_cache_.size();
+  // Stage 2: control by the destination-address owner.
+  if (run.verdict != Verdict::kDrop && dst_dep != nullptr) {
+    run = RunStage(*dst_dep, ProcessingStage::kDestinationOwner, packet, ctx,
+                   in_from_node);
+    stage2_ran = run.ran;
+  }
+  if (run.verdict == Verdict::kDrop) {
+    stats_.drops_by_reason[static_cast<std::size_t>(run.drop_reason)]++;
   }
   if (recorder_ != nullptr) {
-    RecordFlight(packet, ctx, verdict, drop_reason,
-                 /*cache_hit=*/entry != nullptr, redirected, stage2_ran);
+    RecordFlight(packet, ctx, run.verdict, run.drop_reason,
+                 /*redirected=*/true, stage2_ran);
   }
-  return verdict;
+  return run.verdict;
 }
 
 void AdaptiveDevice::RecordFlight(const Packet& packet,
                                   const RouterContext& ctx, Verdict verdict,
-                                  DatapathDropReason reason, bool cache_hit,
+                                  DatapathDropReason reason,
                                   bool redirected, bool stage2) {
   obs::VerdictRecord record;
   record.at = ctx.now;
@@ -566,7 +375,6 @@ void AdaptiveDevice::RecordFlight(const Packet& packet,
   record.protocol = static_cast<std::uint8_t>(packet.proto);
   record.dropped = verdict == Verdict::kDrop;
   record.drop_reason = reason;
-  record.cache_hit = cache_hit;
   record.redirected = redirected;
   record.stage2 = stage2;
   recorder_->Record(record);

@@ -15,13 +15,9 @@
 // are enforced on the wire no matter what the modules do; a violating
 // deployment is quarantined and the operator notified (Sec. 4.5).
 //
-// Flow verdict cache: the redirect lookups and — for stages whose
-// executed path consists only of pure modules (see Cacheability in
-// core/component.h) — the full verdict are memoised per flow. The cache
-// never changes semantics: it is generation-invalidated on every install,
-// removal and quarantine, and revision-invalidated on module
-// reconfiguration (blacklist edits, rule toggles), so a cached verdict is
-// always the verdict the modules would produce if run.
+// The device keeps no per-flow state: every packet takes the two lookups
+// and, when redirected, runs its stages afresh, so an install, removal,
+// quarantine or module reconfiguration applies from the next packet on.
 #pragma once
 
 #include <cstdint>
@@ -51,8 +47,10 @@ struct DeviceStats {
   obs::Counter stage1_runs;
   obs::Counter stage2_runs;
   obs::Counter safety_violations;
-  obs::Counter flow_cache_hits;    // verdict or lookup served from cache
-  obs::Counter flow_cache_misses;  // cache enabled but no usable entry
+  // Always 0: stub for perfbench/tracer.cpp; goes with device.flow_cache_*.
+  obs::Counter flow_cache_hits;
+  // Always 0: stub for perfbench/tracer.cpp; goes with device.flow_cache_*.
+  obs::Counter flow_cache_misses;
   obs::Counter installs_applied;     // effectful InstallDeployment calls
   obs::Counter duplicate_installs;   // re-delivered ids served from record
   obs::Counter replays_rejected;     // known id, different content (attack)
@@ -118,10 +116,9 @@ class AdaptiveDevice : public PacketProcessor {
   Status RemoveDeployment(SubscriberId subscriber);
 
   /// Models a router crash + immediate restart: every RAM table is lost —
-  /// installed module graphs, redirect tries, the flow verdict cache AND
-  /// the per-id install record (it lives in the same RAM). The NMS
-  /// anti-entropy resync re-installs desired deployments afterwards; the
-  /// flow cache then repopulates under a fresh generation.
+  /// installed module graphs, redirect tries AND the per-id install
+  /// record (it lives in the same RAM). The NMS anti-entropy resync
+  /// re-installs desired deployments afterwards.
   void Restart();
 
   /// Puts the subscriber's deployment under quarantine (its graphs stop
@@ -148,20 +145,8 @@ class AdaptiveDevice : public PacketProcessor {
   Verdict Process(Packet& packet, const RouterContext& ctx) override;
   std::string_view name() const override { return "adaptive-device"; }
 
-  // --- flow verdict cache ---------------------------------------------------
-
-  /// Runtime switch, mainly for differential testing and benchmarking;
-  /// defaults to on. Disabling does not clear entries — they stay and
-  /// revalidate (generation + config revisions) if re-enabled.
-  void set_flow_cache_enabled(bool enabled) { flow_cache_enabled_ = enabled; }
-  bool flow_cache_enabled() const { return flow_cache_enabled_; }
-
-  /// Drops every cached verdict (O(1): bumps the generation). Called
-  /// internally on install/remove/quarantine; exposed for operators and
-  /// tests.
-  void InvalidateFlowCache() { generation_++; }
-
-  std::size_t flow_cache_size() const { return flow_cache_.size(); }
+  // Always 0: stub for perfbench/tracer.cpp; goes with device.flow_cache_*.
+  std::size_t flow_cache_size() const { return 0; }
 
   const DeviceStats& stats() const { return stats_; }
   NodeId node() const { return node_; }
@@ -176,79 +161,12 @@ class AdaptiveDevice : public PacketProcessor {
     std::optional<ModuleGraph> destination_stage;
     std::string label;
     bool quarantined = false;
-    std::uint64_t packets_seen = 0;
   };
 
-  /// Exact flow identity: every input a pure module may branch on. Two
-  /// packets with equal keys are guaranteed the same treatment by any
-  /// pure-module stage under an unchanged configuration.
-  struct FlowKey {
-    Ipv4Address src;
-    Ipv4Address dst;
-    Protocol proto = Protocol::kUdp;
-    std::uint16_t src_port = 0;
-    std::uint16_t dst_port = 0;
-    LinkKind in_kind = LinkKind::kPeer;
-    NodeId in_from_node = kInvalidNode;
-
-    bool operator==(const FlowKey&) const = default;
-  };
-  struct FlowKeyHash {
-    std::size_t operator()(const FlowKey& key) const {
-      auto mix = [](std::uint64_t x) {
-        x += 0x9e3779b97f4a7c15ull;
-        x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-        x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-        return x ^ (x >> 31);
-      };
-      const std::uint64_t a =
-          (static_cast<std::uint64_t>(key.src.bits()) << 32) |
-          key.dst.bits();
-      const std::uint64_t b =
-          (static_cast<std::uint64_t>(key.proto) << 56) |
-          (static_cast<std::uint64_t>(key.in_kind) << 48) |
-          (static_cast<std::uint64_t>(key.src_port) << 32) |
-          (static_cast<std::uint64_t>(key.dst_port) << 16);
-      return static_cast<std::size_t>(
-          mix(mix(a) ^ b) ^ mix(key.in_from_node));
-    }
-  };
-
-  /// A memoised treatment for one flow. Validity = generation match plus
-  /// config-revision match of both stage graphs; Deployment pointers are
-  /// safe to store because every event that could invalidate them
-  /// (install/remove/quarantine) bumps the generation first, and
-  /// unordered_map never relocates its nodes.
-  struct FlowCacheEntry {
-    std::uint64_t generation = 0;
-    std::uint64_t src_revision = 0;
-    std::uint64_t dst_revision = 0;
-    Deployment* src_dep = nullptr;
-    Deployment* dst_dep = nullptr;
-    /// Redirect-table outcome: did either table match? (false = fast path)
-    bool redirected = false;
-    /// True when the verdict below may be replayed without running the
-    /// modules (every visited module was pure). False entries still save
-    /// the two LPM lookups and deployment map probes.
-    bool full_verdict = false;
-    Verdict verdict = Verdict::kForward;
-    std::uint8_t drop_stage = 0;  // 0 none, 1 stage1, 2 stage2
-    /// Taxonomy attribution of a cached drop verdict, replayed into the
-    /// per-reason counters and flight records on every hit.
-    DatapathDropReason drop_reason = DatapathDropReason::kNone;
-    bool stage1_ran = false;
-    bool stage2_ran = false;
-    /// Non-zero: replay payload truncation to this size on forward.
-    std::uint32_t truncate_to = 0;
-  };
-
-  /// Outcome of one stage execution, including what the cache-fill path
-  /// needs to decide cacheability.
+  /// Outcome of one stage execution.
   struct StageRun {
     Verdict verdict = Verdict::kForward;
-    bool ran = false;   // graph present, not quarantined
-    bool pure = true;   // every *visited* module was kPure/kPureTransform
-    std::uint32_t truncate_to = 0;  // accumulated kPureTransform rewrite
+    bool ran = false;  // graph present, not quarantined
     /// Graph attribution when verdict == kDrop (kNone otherwise).
     DatapathDropReason drop_reason = DatapathDropReason::kNone;
   };
@@ -256,38 +174,16 @@ class AdaptiveDevice : public PacketProcessor {
   /// The effectful install path behind the DeploymentId dedup shield.
   Status InstallDeploymentImpl(DeploymentSpec spec);
 
-  /// Runs one stage under the safety guard. `collect_cacheability`
-  /// additionally classifies the executed path for the flow cache.
+  /// Runs one stage under the safety guard.
   StageRun RunStage(Deployment& deployment, ProcessingStage stage,
                     Packet& packet, const RouterContext& ctx,
-                    NodeId in_from_node, bool collect_cacheability);
-
-  /// Re-applies a fully cached verdict: replays the counter updates the
-  /// uncached path would make (device stats, per-deployment packets_seen,
-  /// graph processed/dropped) and any pure packet transform.
-  Verdict ReplayCachedVerdict(FlowCacheEntry& entry, Packet& packet);
+                    NodeId in_from_node);
 
   /// Appends one flight record; callers guard on recorder_ != nullptr so
   /// the disabled path stays a single pointer test.
   void RecordFlight(const Packet& packet, const RouterContext& ctx,
                     Verdict verdict, DatapathDropReason reason,
-                    bool cache_hit, bool redirected, bool stage2);
-
-  bool EntryCurrent(const FlowCacheEntry& entry) const {
-    if (entry.generation != generation_) return false;
-    if (entry.src_dep != nullptr && entry.src_dep->source_stage &&
-        entry.src_dep->source_stage->config_revision() != entry.src_revision) {
-      return false;
-    }
-    if (entry.dst_dep != nullptr && entry.dst_dep->destination_stage &&
-        entry.dst_dep->destination_stage->config_revision() !=
-            entry.dst_revision) {
-      return false;
-    }
-    return true;
-  }
-
-  static constexpr std::size_t kMaxFlowCacheEntries = 1 << 16;
+                    bool redirected, bool stage2);
 
   NodeId node_;
   EventSink* events_;
@@ -314,17 +210,12 @@ class AdaptiveDevice : public PacketProcessor {
   PrefixTrie<SubscriberId> src_redirect_;
   PrefixTrie<SubscriberId> dst_redirect_;
 
-  bool flow_cache_enabled_ = true;
-  std::uint64_t generation_ = 0;
-  std::unordered_map<FlowKey, FlowCacheEntry, FlowKeyHash> flow_cache_;
   /// Table sizes mirrored into relaxed-atomic cells: the telemetry
   /// collector reads them from the control shard while this device's
   /// shard is mid-window, so it must not touch the containers
   /// themselves (docs/sharding.md). Updated wherever the tables change.
-  obs::Counter flow_cache_entries_gauge_;
   obs::Counter deployments_gauge_;
   obs::Counter redirect_prefixes_gauge_;
-  std::vector<int> visited_scratch_;  // Execute() path buffer, reused
 };
 
 }  // namespace adtc

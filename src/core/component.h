@@ -80,27 +80,6 @@ struct DeviceContext {
 inline constexpr int kPortDefault = 0;  // "pass" / "no match"
 inline constexpr int kPortAlt = 1;      // "match" / "exceeded"
 
-/// How a module's behaviour relates to the flow verdict cache.
-///
-/// A flow here is the exact tuple (src, dst, proto, src_port, dst_port,
-/// arrival-edge kind, arrival neighbour) — everything a pure module may
-/// branch on. Against that key:
-///
-///  - kPure:          the port chosen depends only on the flow key and the
-///                    module's *configuration* (which bumps the config
-///                    revision when mutated). Packet left unmodified.
-///  - kPureTransform: like kPure, but the module rewrites the packet in a
-///                    flow-deterministic way that the cache can replay
-///                    (today: payload truncation to `cache_truncate_to()`).
-///  - kStateful:      anything else — counters feeding triggers, rate
-///                    limiters, samplers, traceback stores, loggers. A
-///                    single stateful module on the executed path makes the
-///                    whole verdict uncacheable.
-///
-/// The conservative default is kStateful: a module must opt in to being
-/// cached, never the reverse.
-enum class Cacheability : std::uint8_t { kPure, kPureTransform, kStateful };
-
 class Module {
  public:
   virtual ~Module() = default;
@@ -118,10 +97,6 @@ class Module {
   /// amount of additional traffic" for logging/statistics/triggers).
   virtual std::uint32_t declared_overhead_bytes() const { return 0; }
 
-  /// Whether a verdict involving this module may be served from the flow
-  /// cache. See Cacheability; the default deliberately disables caching.
-  virtual Cacheability cacheability() const { return Cacheability::kStateful; }
-
   /// The taxonomy entry recorded when a packet reaches the drop terminal
   /// through this module — how the forensic flight recorder and the
   /// per-reason drop counters attribute the kill. Policy modules that
@@ -131,11 +106,6 @@ class Module {
     return DatapathDropReason::kModulePolicy;
   }
 
-  /// For kPureTransform modules: the packet size (bytes) the module
-  /// truncates payloads to, so a cache hit can replay the transform
-  /// without running the module. Ignored for other cacheability classes.
-  virtual std::uint32_t cache_truncate_to() const { return 0; }
-
   /// The module type's declared worst-case effects — what the admission
   /// verifier (src/analysis/verifier.h) composes to prove the Sec. 4.5
   /// invariants over the whole graph before deployment. Like
@@ -143,30 +113,13 @@ class Module {
   /// makes the static proof sound, a lying one is caught by the runtime
   /// safety guard and flagged as an analyzer-soundness violation.
   ///
-  /// The default derives the most conservative honest signature from the
-  /// traits above: no header writes, no duplication, overhead as
-  /// declared, stateful iff not cacheable-pure.
+  /// The default is the most conservative honest signature: no header
+  /// writes, no duplication, overhead as declared, stateful.
   virtual analysis::EffectSignature effect_signature() const {
     analysis::EffectSignature sig;
     sig.overhead_bytes_max = declared_overhead_bytes();
-    sig.stateful = cacheability() == Cacheability::kStateful;
     return sig;
   }
-
-  /// Called by ModuleGraph::AddModule to hand the module the graph's
-  /// shared config-revision cell. Modules that allow post-deployment
-  /// reconfiguration (blacklist edits, rule toggles) must call
-  /// BumpConfigRevision() from every mutator so cached verdicts derived
-  /// from the old configuration are invalidated.
-  void BindConfigRevision(std::uint64_t* cell) { config_revision_ = cell; }
-
- protected:
-  void BumpConfigRevision() {
-    if (config_revision_ != nullptr) ++*config_revision_;
-  }
-
- private:
-  std::uint64_t* config_revision_ = nullptr;
 };
 
 }  // namespace adtc

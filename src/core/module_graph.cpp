@@ -24,7 +24,6 @@ std::string_view EventKindName(EventKind kind) {
 
 int ModuleGraph::AddModule(std::unique_ptr<Module> module) {
   assert(module != nullptr);
-  module->BindConfigRevision(config_revision_.get());
   Entry entry;
   entry.edges.resize(static_cast<std::size_t>(module->port_count()));
   entry.module = std::move(module);
@@ -112,11 +111,6 @@ Status ModuleGraph::Validate() {
 }
 
 Verdict ModuleGraph::Execute(Packet& packet, const DeviceContext& ctx) {
-  return Execute(packet, ctx, nullptr);
-}
-
-Verdict ModuleGraph::Execute(Packet& packet, const DeviceContext& ctx,
-                             std::vector<int>* visited) {
   assert(validated_ && "Validate() must pass before Execute()");
   packets_processed_++;
   last_drop_reason_ = DatapathDropReason::kNone;
@@ -124,7 +118,6 @@ Verdict ModuleGraph::Execute(Packet& packet, const DeviceContext& ctx,
   // Acyclic: at most module_count() steps.
   for (std::size_t step = 0; step <= modules_.size(); ++step) {
     Entry& entry = modules_[at];
-    if (visited != nullptr) visited->push_back(at);
     int port = entry.module->OnPacket(packet, ctx);
     if (port < 0 || port >= static_cast<int>(entry.edges.size())) {
       port = 0;  // defensive: treat a bogus port as the default

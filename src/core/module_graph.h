@@ -41,29 +41,6 @@ class ModuleGraph {
   /// Runs the packet through the graph. Requires validated().
   Verdict Execute(Packet& packet, const DeviceContext& ctx);
 
-  /// Like Execute(), but also reports the modules the packet actually
-  /// visited (in order). The flow cache uses this to decide whether a
-  /// verdict is cacheable: only the *executed path* matters, so a graph
-  /// may mix pure and stateful branches and still cache flows that never
-  /// reach the stateful side.
-  Verdict Execute(Packet& packet, const DeviceContext& ctx,
-                  std::vector<int>* visited);
-
-  /// Bumped whenever any bound module's configuration mutates (blacklist
-  /// edits, rule toggles). Cached verdicts store the revision they were
-  /// filled at and miss when it moves. Stable across graph moves: the
-  /// cell lives on the heap because ModuleGraph itself is moved into
-  /// Deployment records after construction.
-  std::uint64_t config_revision() const { return *config_revision_; }
-
-  /// Counter maintenance for a flow-cache hit that bypassed Execute():
-  /// keeps packets_processed()/packets_dropped() meaning "packets this
-  /// graph decided on" whether or not the modules physically ran.
-  void RecordCachedExecution(bool dropped) {
-    packets_processed_++;
-    if (dropped) packets_dropped_++;
-  }
-
   std::size_t module_count() const { return modules_.size(); }
   Module* module(int id) { return modules_[id].module.get(); }
   const Module* module(int id) const { return modules_[id].module.get(); }
@@ -133,9 +110,6 @@ class ModuleGraph {
   std::uint64_t packets_processed_ = 0;
   std::uint64_t packets_dropped_ = 0;
   DatapathDropReason last_drop_reason_ = DatapathDropReason::kNone;
-  /// Heap cell so the address modules bind to survives graph moves.
-  std::unique_ptr<std::uint64_t> config_revision_ =
-      std::make_unique<std::uint64_t>(0);
 };
 
 }  // namespace adtc

@@ -40,20 +40,17 @@ class AntiSpoofModule : public Module {
   /// Owner mode: addresses being protected against spoofing.
   void AddProtectedPrefix(const Prefix& prefix) {
     protected_.Insert(prefix, true);
-    BumpConfigRevision();
   }
   /// Owner mode: edges that legitimately source the protected prefixes
   /// (the subscriber's own uplink AS) must be exempted.
   void AddLegitimateSourceNode(NodeId node) {
     if (legit_nodes_.size() <= node) legit_nodes_.resize(node + 1, false);
     legit_nodes_[node] = true;
-    BumpConfigRevision();
   }
 
   /// Cone mode: legitimate source space behind this router's edges.
   void AddAllowedPrefix(const Prefix& prefix) {
     allowed_.Insert(prefix, true);
-    BumpConfigRevision();
   }
 
   int OnPacket(Packet& packet, const DeviceContext& ctx) override;
@@ -62,9 +59,6 @@ class AntiSpoofModule : public Module {
     return DatapathDropReason::kAntiSpoof;
   }
   int port_count() const override { return 2; }
-  /// Branches on packet.src and the arrival edge (kind + neighbour), all
-  /// part of the flow key; configuration mutators bump the revision.
-  Cacheability cacheability() const override { return Cacheability::kPure; }
   /// Source checking is only meaningful for customer-edge arrivals
   /// (Sec. 4.2) — but this module gates that itself: OnPacket passes
   /// transit traffic unexamined, so it is provably safe to reach from

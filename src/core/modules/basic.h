@@ -14,16 +14,9 @@ namespace adtc {
 /// list. Entries can be exact hosts or whole prefixes.
 class BlacklistModule : public Module {
  public:
-  void Add(const Prefix& prefix) {
-    listed_.Insert(prefix, true);
-    BumpConfigRevision();
-  }
+  void Add(const Prefix& prefix) { listed_.Insert(prefix, true); }
   void Add(Ipv4Address addr) { Add(Prefix::Host(addr)); }
-  bool Remove(const Prefix& prefix) {
-    const bool erased = listed_.Erase(prefix);
-    if (erased) BumpConfigRevision();
-    return erased;
-  }
+  bool Remove(const Prefix& prefix) { return listed_.Erase(prefix); }
   std::size_t size() const { return listed_.size(); }
 
   int OnPacket(Packet& packet, const DeviceContext& ctx) override {
@@ -36,8 +29,6 @@ class BlacklistModule : public Module {
   }
   std::string_view type_name() const override { return "blacklist"; }
   int port_count() const override { return 2; }
-  /// Branches only on packet.src against the (revision-tracked) list.
-  Cacheability cacheability() const override { return Cacheability::kPure; }
   DatapathDropReason drop_reason() const override {
     return DatapathDropReason::kBlacklist;
   }
@@ -73,12 +64,6 @@ class PayloadDeleteModule : public Module {
     return kPortDefault;
   }
   std::string_view type_name() const override { return "payload-delete"; }
-  /// Always takes port 0; the packet rewrite (truncate to header_bytes_)
-  /// is flow-independent, so a cache hit replays it via cache_truncate_to.
-  Cacheability cacheability() const override {
-    return Cacheability::kPureTransform;
-  }
-  std::uint32_t cache_truncate_to() const override { return header_bytes_; }
   /// Only ever shrinks the packet: worst-case wire delta is 0, never
   /// positive, so no kSizeGrow header write is declared.
   analysis::EffectSignature effect_signature() const override {

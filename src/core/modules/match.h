@@ -33,14 +33,6 @@ struct MatchRule {
 
   bool Matches(const Packet& packet) const;
   std::string Describe() const;
-
-  /// True when the rule consults only fields of the flow key (addresses,
-  /// protocol, ports). Rules over per-packet payload characteristics
-  /// (TCP flags, ICMP type, size, payload hash) can differ between
-  /// packets of one flow and therefore defeat verdict caching.
-  bool FlowDeterministic() const {
-    return !tcp_flags_all && !icmp && !size_range && !payload_hash;
-  }
 };
 
 /// Port kPortAlt (1) when the rule matches, kPortDefault (0) otherwise.
@@ -53,15 +45,11 @@ class MatchModule : public Module {
   int OnPacket(Packet& packet, const DeviceContext& ctx) override;
   std::string_view type_name() const override { return "match"; }
   int port_count() const override { return 2; }
-  Cacheability cacheability() const override {
-    return rule_.FlowDeterministic() ? Cacheability::kPure
-                                     : Cacheability::kStateful;
-  }
   DatapathDropReason drop_reason() const override {
     return DatapathDropReason::kFirewallRule;
   }
-  /// Branch-only: even a non-flow-deterministic rule keeps no state
-  /// across packets, writes nothing and emits nothing.
+  /// Branch-only: keeps no state across packets, writes nothing and
+  /// emits nothing.
   analysis::EffectSignature effect_signature() const override {
     analysis::EffectSignature sig;
     sig.stateful = false;
@@ -73,12 +61,7 @@ class MatchModule : public Module {
 
   /// Rules can be armed/disarmed without rewiring the graph — this is the
   /// switch pre-staged configurations flip during attacks (Sec. 4.2).
-  void set_active(bool active) {
-    if (active_ != active) {
-      active_ = active;
-      BumpConfigRevision();
-    }
-  }
+  void set_active(bool active) { active_ = active; }
   bool active() const { return active_; }
 
  private:

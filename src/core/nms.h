@@ -134,7 +134,7 @@ class IspNms : public EventSink {
   /// to an already-attached injector.
   void ArmRouterRestarts();
   /// Crash+restart of the router's adaptive device now: installed module
-  /// graphs, flow cache and install records are lost (RAM). The NMS's
+  /// graphs, redirect tables and install records are lost (RAM). The NMS's
   /// retry sweep / anti-entropy resync re-converges the device.
   void RestartDevice(NodeId node);
 

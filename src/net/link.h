@@ -28,9 +28,8 @@ std::string_view LinkKindName(LinkKind kind);
 
 /// True for the two edge kinds on which traffic *enters* the Internet
 /// (direct hosts, customer ASes). This classification feeds both the
-/// anti-spoof rules and the datapath flow key: a flow's treatment may
-/// legitimately differ by arrival-edge kind, so cached verdicts are
-/// keyed on it.
+/// anti-spoof rules and the device context's arrival edge: a flow's
+/// treatment may legitimately differ by arrival-edge kind.
 inline constexpr bool IsCustomerEdgeKind(LinkKind kind) {
   return kind == LinkKind::kAccessUp || kind == LinkKind::kCustomerToProvider;
 }

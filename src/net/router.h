@@ -140,8 +140,7 @@ class PacketBatch {
 ///
 /// The router drives the *batch* entry point; `Process` is the per-packet
 /// workhorse most processors implement. Override `ProcessBatch` to
-/// amortise per-packet costs (table lookups, flow-cache probes) across a
-/// batch — the default simply loops `Process` over the alive packets, so
+/// amortise per-packet costs (table lookups) across a batch — the default simply loops `Process` over the alive packets, so
 /// every existing processor keeps working unchanged.
 class PacketProcessor {
  public:

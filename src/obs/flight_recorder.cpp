@@ -27,7 +27,6 @@ void FlightRecorder::WriteJsonl(std::ostream& out) const {
         .Field("proto", static_cast<std::uint64_t>(r.protocol))
         .Field("dropped", r.dropped)
         .Field("reason", DatapathDropReasonName(r.drop_reason))
-        .Field("cache_hit", r.cache_hit)
         .Field("redirected", r.redirected)
         .Field("stage2", r.stage2);
     json.EndObject();

@@ -1,7 +1,7 @@
 // Per-device datapath flight recorder.
 //
-// A bounded ring of per-packet verdict records — flow key, cache
-// behaviour, drop reason, sim time — that a device appends to on every
+// A bounded ring of per-packet verdict records — flow key, redirect and
+// stage outcome, drop reason, sim time — that a device appends to on every
 // Process() exit when a recorder is attached. The design mirrors the
 // tracer's cheap-when-unsinked contract: a device holds a raw
 // FlightRecorder pointer that defaults to nullptr, so the disabled-mode
@@ -36,9 +36,8 @@ struct VerdictRecord {
   std::uint8_t protocol = 0;
   DatapathDropReason drop_reason = DatapathDropReason::kNone;
   bool dropped = false;
-  bool cache_hit = false;   ///< Served from the flow verdict cache.
   bool redirected = false;  ///< Crossed a redirect into stage 2.
-  bool stage2 = false;      ///< Stage-2 module path executed (or replayed).
+  bool stage2 = false;      ///< Stage-2 module path executed.
 };
 
 class FlightRecorder {

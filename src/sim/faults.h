@@ -145,7 +145,7 @@ class FaultInjector {
   bool DeviceUp(NodeId node, SimTime now) const;
 
   /// Router at `node` crashes and immediately restarts at `at`: its
-  /// AdaptiveDevice loses installed module graphs and flow-cache state
+  /// AdaptiveDevice loses installed module graphs and install records
   /// (RAM), to be recovered by the NMS anti-entropy resync. The owning
   /// IspNms arms these as simulator events (ArmRouterRestarts).
   void AddRouterRestart(NodeId node, SimTime at);

@@ -66,6 +66,22 @@ class Amplifier : public Module {
   std::string_view type_name() const override { return "match"; }
 };
 
+/// Rewrites the source address (a safety violation) only for dst_port
+/// 666 and drops everything else, so one flow can be dropped before
+/// another flow gets the deployment quarantined.
+class ConditionallyEvilModule : public Module {
+ public:
+  int OnPacket(Packet& p, const DeviceContext&) override {
+    if (p.dst_port == 666) {
+      p.src = Ipv4Address(0xDEAD);
+      return kPortDefault;
+    }
+    return kPortAlt;
+  }
+  std::string_view type_name() const override { return "match"; }
+  int port_count() const override { return 2; }
+};
+
 TEST(AdaptiveDeviceTest, FastPathForUnmatchedTraffic) {
   AdaptiveDevice device(0);
   Packet p = PacketBetween(1, 2);
@@ -338,10 +354,9 @@ TEST(AdaptiveDeviceTest, DropsAttributedPerTaxonomyReason) {
       stats.drops_by_reason[static_cast<std::size_t>(R::kFirewallRule)], 1u);
   EXPECT_EQ(stats.dropped_packets(), 2u);
 
-  // Cached replays attribute the same reason as the original verdict.
+  // A repeated flow is attributed the same reason on every packet.
   Packet listed_again = PacketBetween(9, 5);
   EXPECT_EQ(device.Process(listed_again, Ctx()), Verdict::kDrop);
-  EXPECT_GT(device.stats().flow_cache_hits, 0u);
   EXPECT_EQ(stats.drops_by_reason[static_cast<std::size_t>(R::kBlacklist)],
             2u);
 }
@@ -363,7 +378,7 @@ TEST(AdaptiveDeviceTest, FlightRecorderCapturesVerdicts) {
   EXPECT_EQ(device.Process(fast, Ctx()), Verdict::kForward);
   EXPECT_EQ(device.Process(dropped, Ctx()), Verdict::kDrop);
   EXPECT_EQ(device.Process(forwarded, Ctx()), Verdict::kForward);
-  // Replay the drop from the verdict cache: still recorded, as a hit.
+  // A repeated drop is recorded again with the same reason.
   Packet dropped_again = PacketBetween(9, 5);
   EXPECT_EQ(device.Process(dropped_again, Ctx()), Verdict::kDrop);
 
@@ -373,12 +388,11 @@ TEST(AdaptiveDeviceTest, FlightRecorderCapturesVerdicts) {
   EXPECT_FALSE(records[0].dropped);
   EXPECT_TRUE(records[1].dropped);
   EXPECT_EQ(records[1].drop_reason, DatapathDropReason::kBlacklist);
-  EXPECT_FALSE(records[1].cache_hit);
   EXPECT_TRUE(records[2].redirected);
   EXPECT_FALSE(records[2].dropped);
   EXPECT_TRUE(records[3].dropped);
   EXPECT_EQ(records[3].drop_reason, DatapathDropReason::kBlacklist);
-  EXPECT_TRUE(records[3].cache_hit);
+  EXPECT_TRUE(records[3].redirected);
   for (const obs::VerdictRecord& record : records) {
     EXPECT_EQ(record.node, 7u);
     EXPECT_EQ(record.at, Seconds(1));
@@ -389,6 +403,208 @@ TEST(AdaptiveDeviceTest, FlightRecorderCapturesVerdicts) {
   Packet later = PacketBetween(1, 2);
   (void)device.Process(later, Ctx());
   EXPECT_EQ(recorder.total_recorded(), 4u);
+}
+
+// --- configuration changes apply to the next packet of a flow ----------
+
+TEST(AdaptiveDeviceTest, BlacklistEditAppliesToNextPacketOfFlow) {
+  AdaptiveDevice device(0);
+  auto blacklist = std::make_unique<BlacklistModule>();
+  BlacklistModule* list = blacklist.get();
+  ADTC_ASSERT_OK(device.InstallDeployment(
+      {CertFor(1, 5),
+       {NodePrefix(5)},
+       ModuleGraph::Single(std::move(blacklist)),
+       std::nullopt}));
+
+  for (int i = 0; i < 2; ++i) {
+    Packet before = PacketBetween(5, 2);
+    EXPECT_EQ(device.Process(before, Ctx()), Verdict::kForward);
+  }
+  list->Add(HostAddress(5, 1));
+  Packet blocked = PacketBetween(5, 2);
+  EXPECT_EQ(device.Process(blocked, Ctx()), Verdict::kDrop);
+
+  EXPECT_TRUE(list->Remove(Prefix::Host(HostAddress(5, 1))));
+  Packet unblocked = PacketBetween(5, 2);
+  EXPECT_EQ(device.Process(unblocked, Ctx()), Verdict::kForward);
+}
+
+TEST(AdaptiveDeviceTest, RuleToggleAppliesToNextPacketOfFlow) {
+  AdaptiveDevice device(0);
+  MatchRule rule;
+  rule.proto = Protocol::kUdp;
+  rule.dst_port_range = {{80, 80}};
+  auto match = std::make_unique<MatchModule>(rule);
+  MatchModule* firewall = match.get();
+  ADTC_ASSERT_OK(device.InstallDeployment(
+      {CertFor(1, 6),
+       {NodePrefix(6)},
+       std::nullopt,
+       ModuleGraph::Single(std::move(match))}));
+
+  for (int i = 0; i < 2; ++i) {
+    Packet armed = PacketBetween(1, 6);
+    EXPECT_EQ(device.Process(armed, Ctx()), Verdict::kDrop);
+  }
+
+  firewall->set_active(false);
+  Packet disarmed = PacketBetween(1, 6);
+  EXPECT_EQ(device.Process(disarmed, Ctx()), Verdict::kForward);
+
+  firewall->set_active(true);
+  Packet rearmed = PacketBetween(1, 6);
+  EXPECT_EQ(device.Process(rearmed, Ctx()), Verdict::kDrop);
+}
+
+TEST(AdaptiveDeviceTest, QuarantineFailsOpenOnNextPacketOfFlow) {
+  AdaptiveDevice device(0);
+  ADTC_ASSERT_OK(device.InstallDeployment(
+      {CertFor(1, 6),
+       {NodePrefix(6)},
+       std::nullopt,
+       ModuleGraph::Single(std::make_unique<ConditionallyEvilModule>())}));
+
+  for (int i = 0; i < 2; ++i) {
+    Packet dropped = PacketBetween(1, 6);
+    EXPECT_EQ(device.Process(dropped, Ctx()), Verdict::kDrop);
+  }
+  // Another flow trips the runtime safety guard.
+  Packet evil = PacketBetween(1, 6);
+  evil.dst_port = 666;
+  EXPECT_EQ(device.Process(evil, Ctx()), Verdict::kForward);
+  EXPECT_EQ(device.stats().safety_violations, 1u);
+  ASSERT_TRUE(device.IsQuarantined(1));
+
+  // The first flow's next packet is no longer processed: it fails open.
+  Packet after = PacketBetween(1, 6);
+  EXPECT_EQ(device.Process(after, Ctx()), Verdict::kForward);
+  EXPECT_EQ(device.stats().dropped_packets(), 2u);
+}
+
+TEST(AdaptiveDeviceTest, RemovalAppliesToNextPacketOfFlow) {
+  AdaptiveDevice device(0);
+  MatchRule all;
+  ADTC_ASSERT_OK(device.InstallDeployment(
+      {CertFor(1, 6),
+       {NodePrefix(6)},
+       std::nullopt,
+       ModuleGraph::Single(std::make_unique<MatchModule>(all))}));
+  for (int i = 0; i < 2; ++i) {
+    Packet dropped = PacketBetween(1, 6);
+    EXPECT_EQ(device.Process(dropped, Ctx()), Verdict::kDrop);
+  }
+  ADTC_ASSERT_OK(device.RemoveDeployment(1));
+  Packet after = PacketBetween(1, 6);
+  EXPECT_EQ(device.Process(after, Ctx()), Verdict::kForward);
+  EXPECT_EQ(device.stats().fast_path_packets, 1u);
+}
+
+TEST(AdaptiveDeviceTest, InstallAppliesToNextPacketOfFlow) {
+  AdaptiveDevice device(0);
+  // The flow 1->6 takes the fast path before any owner of 6 deploys.
+  Packet before = PacketBetween(1, 6);
+  EXPECT_EQ(device.Process(before, Ctx()), Verdict::kForward);
+  MatchRule all;
+  ADTC_ASSERT_OK(device.InstallDeployment(
+      {CertFor(1, 6),
+       {NodePrefix(6)},
+       std::nullopt,
+       ModuleGraph::Single(std::make_unique<MatchModule>(all))}));
+  Packet after = PacketBetween(1, 6);
+  EXPECT_EQ(device.Process(after, Ctx()), Verdict::kDrop);
+}
+
+// --- every packet of a repeated flow is processed in full ---------------
+
+TEST(AdaptiveDeviceTest, RepeatedFlowMovesCountersOnEveryPacket) {
+  AdaptiveDevice device(0);
+  MatchRule rule;
+  rule.proto = Protocol::kUdp;
+  rule.dst_port_range = {{80, 80}};
+  ADTC_ASSERT_OK(device.InstallDeployment(
+      {CertFor(1, 6),
+       {NodePrefix(6)},
+       std::nullopt,
+       ModuleGraph::Single(std::make_unique<MatchModule>(rule))}));
+  for (int i = 0; i < 2; ++i) {
+    Packet p = PacketBetween(1, 6);
+    EXPECT_EQ(device.Process(p, Ctx()), Verdict::kDrop);
+  }
+  EXPECT_EQ(device.stats().redirected_packets, 2u);
+  EXPECT_EQ(device.stats().stage2_runs, 2u);
+  EXPECT_EQ(device.stats().dropped_packets(), 2u);
+  const ModuleGraph* graph =
+      device.StageGraph(1, ProcessingStage::kDestinationOwner);
+  ASSERT_NE(graph, nullptr);
+  EXPECT_EQ(graph->packets_processed(), 2u);
+  EXPECT_EQ(graph->packets_dropped(), 2u);
+}
+
+TEST(AdaptiveDeviceTest, StatefulStageRunsOnEveryPacketOfFlow) {
+  AdaptiveDevice device(0);
+  ADTC_ASSERT_OK(device.InstallDeployment(
+      {CertFor(1, 6),
+       {NodePrefix(6)},
+       std::nullopt,
+       ModuleGraph::Single(std::make_unique<CounterModule>())}));
+  for (int i = 0; i < 4; ++i) {
+    Packet p = PacketBetween(1, 6);
+    EXPECT_EQ(device.Process(p, Ctx()), Verdict::kForward);
+  }
+  EXPECT_EQ(device.stats().stage2_runs, 4u);
+  ModuleGraph* graph =
+      device.StageGraph(1, ProcessingStage::kDestinationOwner);
+  ASSERT_NE(graph, nullptr);
+  EXPECT_EQ(graph->packets_processed(), 4u);
+  const CounterModule* counter = graph->FindModule<CounterModule>();
+  ASSERT_NE(counter, nullptr);
+  EXPECT_EQ(counter->packets(), 4u);
+}
+
+TEST(AdaptiveDeviceTest, PayloadTruncationAppliesToEveryPacketOfFlow) {
+  AdaptiveDevice device(0);
+  ADTC_ASSERT_OK(device.InstallDeployment(
+      {CertFor(1, 6),
+       {NodePrefix(6)},
+       std::nullopt,
+       ModuleGraph::Single(std::make_unique<PayloadDeleteModule>(40))}));
+  for (int i = 0; i < 3; ++i) {
+    Packet p = PacketBetween(1, 6);
+    p.size_bytes = 512;
+    p.payload_hash = 0x1234;
+    EXPECT_EQ(device.Process(p, Ctx()), Verdict::kForward);
+    EXPECT_EQ(p.size_bytes, 40u);
+    EXPECT_EQ(p.payload_hash, 0u);
+  }
+}
+
+TEST(AdaptiveDeviceTest, SourceStageDropShortCircuitsEveryPacketOfFlow) {
+  AdaptiveDevice device(0);
+  MatchRule all;
+  ADTC_ASSERT_OK(device.InstallDeployment(
+      {CertFor(1, 5),
+       {NodePrefix(5)},
+       ModuleGraph::Single(std::make_unique<MatchModule>(all)),
+       std::nullopt}));
+  ADTC_ASSERT_OK(device.InstallDeployment(
+      {CertFor(2, 6),
+       {NodePrefix(6)},
+       std::nullopt,
+       ModuleGraph::Single(std::make_unique<CounterModule>())}));
+  for (int i = 0; i < 3; ++i) {
+    Packet p = PacketBetween(5, 6);
+    EXPECT_EQ(device.Process(p, Ctx()), Verdict::kDrop);
+  }
+  // Stage 2's device counter and its graph's tallies never move.
+  EXPECT_EQ(device.stats().stage1_runs, 3u);
+  EXPECT_EQ(device.stats().stage2_runs, 0u);
+  EXPECT_EQ(device.StageGraph(1, ProcessingStage::kSourceOwner)
+                ->packets_dropped(),
+            3u);
+  EXPECT_EQ(device.StageGraph(2, ProcessingStage::kDestinationOwner)
+                ->packets_processed(),
+            0u);
 }
 
 }  // namespace

@@ -21,7 +21,6 @@ VerdictRecord MakeRecord(SimTime at, bool dropped,
   record.protocol = 17;
   record.dropped = dropped;
   record.drop_reason = reason;
-  record.cache_hit = false;
   record.redirected = true;
   record.stage2 = dropped;
   return record;

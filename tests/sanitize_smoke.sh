@@ -26,8 +26,8 @@ set -euo pipefail
 
 SRC_DIR="${1:-$(cd "$(dirname "$0")/.." && pwd)}"
 BUILD_DIR="${2:-${SRC_DIR}/build-sanitize}"
-FILTER="${ADTC_SANITIZE_FILTER:-Telemetry*:*Sampler*:MetricsRegistry*:Tracer*:Json*:EventBuffer*:EnumNames*:CounterTest*:ScopedWallTimer*:FaultInjector*:ControlChannel*:RetryPolicy*:WorseStatus*:DeploymentId*:*ChaosConvergence*:*ChaosContainment*:VerifierTest*:NetworkVerifierTest*:PlanSoundnessTest*:AnalysisSoundnessTest*:StaticAnalysisTest*:FlightRecorder*:TraceAnalyzer*:DurationPercentile*:*TraceReassembly*:SprtDetector*:EwmaDetector*:ClosedLoop*:DropAccounting*:RuntimeOps*}"
-TSAN_FILTER="${ADTC_TSAN_FILTER:-ThreadPoolTest*:ParallelForTest*:NetworkTest*:AdaptiveDeviceTest*:FlowCache*:AnalysisSoundnessTest*:NetworkVerifierTest*:PlanSoundnessTest*:FlightRecorder*:ShardedSingleTest*:ShardedMultiTest*:ShardStressTest*:ShardDeterminismTest*:*ChaosContainment*:SprtDetector*:ClosedLoop*:DropAccounting*}"
+FILTER="${ADTC_SANITIZE_FILTER:-Telemetry*:*Sampler*:MetricsRegistry*:Tracer*:Json*:EventBuffer*:EnumNames*:CounterTest*:ScopedWallTimer*:FaultInjector*:ControlChannel*:RetryPolicy*:WorseStatus*:DeploymentId*:*ChaosConvergence*:*ChaosContainment*:VerifierTest*:NetworkVerifierTest*:PlanSoundnessTest*:AnalysisSoundnessTest*:StaticAnalysisTest*:FlightRecorder*:TraceAnalyzer*:DurationPercentile*:*TraceReassembly*:SprtDetector*:EwmaDetector*:ClosedLoop*:DropAccounting*:RuntimeOps*:AdaptiveDeviceTest*}"
+TSAN_FILTER="${ADTC_TSAN_FILTER:-ThreadPoolTest*:ParallelForTest*:NetworkTest*:AdaptiveDeviceTest*:AnalysisSoundnessTest*:NetworkVerifierTest*:PlanSoundnessTest*:FlightRecorder*:ShardedSingleTest*:ShardedMultiTest*:ShardStressTest*:ShardDeterminismTest*:*ChaosContainment*:SprtDetector*:ClosedLoop*:DropAccounting*}"
 
 cmake -S "${SRC_DIR}" -B "${BUILD_DIR}" -DADTC_SANITIZE=ON \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null

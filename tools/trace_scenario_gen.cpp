@@ -110,7 +110,7 @@ void RunControlPlaneScenario(const std::string& path,
 /// Appends flight-recorder verdict lines: a standalone device with a
 /// blacklist + port-match chain processing a deterministic packet mix
 /// (fast-path misses, redirected forwards, blacklist and rule drops,
-/// cached replays).
+/// repeated flows).
 void AppendDatapathVerdicts(const std::string& path) {
   obs::FlightRecorder recorder(4096);
   AdaptiveDevice device(0);
