@@ -198,6 +198,34 @@ void BM_PrefixTrieLookup(benchmark::State& state) {
 BENCHMARK(BM_PrefixTrieLookup)->RangeMultiplier(8)->Range(8, 4096)
     ->Complexity();
 
+// The lookups AdaptiveDevice::Process makes per packet: one source and
+// one destination host address, each under an installed node /20, so
+// every lookup walks all 20 prefix bits. (BM_PrefixTrieLookup's strided
+// addresses mostly leave the trie after a few bits.) One iteration is one
+// packet: two lookups. Informational: no baseline entry.
+void BM_PrefixTrieHostLookup(benchmark::State& state) {
+  PrefixTrie<int> src_redirect;
+  PrefixTrie<int> dst_redirect;
+  const auto nodes = static_cast<NodeId>(state.range(0));
+  for (NodeId node = 0; node < nodes; ++node) {
+    src_redirect.Insert(NodePrefix(node), 1);
+    dst_redirect.Insert(NodePrefix(node), 1);
+  }
+  NodeId src = 0;
+  NodeId dst = nodes / 2;
+  std::uint32_t slot = 1;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        src_redirect.LongestMatch(HostAddress(src, slot)));
+    benchmark::DoNotOptimize(
+        dst_redirect.LongestMatch(HostAddress(dst, slot)));
+    src = src + 1 == nodes ? 0 : src + 1;
+    dst = dst + 1 == nodes ? 0 : dst + 1;
+    slot = slot % 1000 + 1;
+  }
+}
+BENCHMARK(BM_PrefixTrieHostLookup)->RangeMultiplier(8)->Range(8, 4096);
+
 }  // namespace
 }  // namespace adtc
 

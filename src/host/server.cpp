@@ -25,7 +25,9 @@ TrafficClass ReplyClass(const Packet& request) {
 }  // namespace
 
 Server::Server(ServerConfig config)
-    : config_(config), cpu_tokens_(config.cpu_burst) {}
+    : config_(config),
+      syn_timeout_(config.syn_timeout),
+      cpu_tokens_(config.cpu_burst) {}
 
 void Server::RefillCpu() {
   const SimTime now = Now();
@@ -96,14 +98,17 @@ void Server::HandlePacket(Packet&& packet) {
         break;
       }
       if (packet.tcp_flags & tcp::kSyn) {
-        // Expire stale half-open entries lazily.
+        // Expire stale half-open entries lazily, oldest first. An entry
+        // since ACKed or refreshed no longer matches the map: skip it.
         const SimTime now = Now();
-        for (auto it = half_open_.begin(); it != half_open_.end();) {
-          if (it->second.expires_at <= now) {
-            it = half_open_.erase(it);
+        while (!expiries_.empty() && expiries_.front().expires_at <= now) {
+          const Expiry due = expiries_.front();
+          expiries_.pop_front();
+          const auto it = half_open_.find(due.key);
+          if (it != half_open_.end() &&
+              it->second.expires_at == due.expires_at) {
+            half_open_.erase(it);
             stats_.half_open_timeouts++;
-          } else {
-            ++it;
           }
         }
         if (half_open_.size() >= config_.conn_table_size) {
@@ -112,8 +117,10 @@ void Server::HandlePacket(Packet&& packet) {
           net().metrics_cell().RecordDrop(packet, DropReason::kHostOverload);
           return;
         }
-        half_open_[ConnKey(packet.src, packet.src_port)] =
-            HalfOpen{now + config_.syn_timeout};
+        const std::uint64_t key = ConnKey(packet.src, packet.src_port);
+        const SimTime expires_at = now + syn_timeout_;
+        half_open_[key] = HalfOpen{expires_at};
+        expiries_.push_back(Expiry{expires_at, key});
         Packet synack;
         synack.proto = Protocol::kTcp;
         synack.tcp_flags = tcp::kSyn | tcp::kAck;

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <unordered_map>
 
+#include "common/ring_queue.h"
 #include "host/host.h"
 
 namespace adtc {
@@ -24,7 +25,8 @@ struct ServerConfig {
   /// Sustained request-processing capacity (requests/s) and burst size.
   double cpu_capacity_rps = 20000.0;
   double cpu_burst = 2000.0;
-  /// Half-open connection slots and their timeout.
+  /// Half-open connection slots and their timeout. The timeout is read
+  /// once, at construction (the expiry queue relies on it being fixed).
   std::uint32_t conn_table_size = 8192;
   SimDuration syn_timeout = Seconds(3);
   /// Bytes of a UDP service reply (>= request size models amplification,
@@ -69,6 +71,7 @@ class Server : public Host {
   void ReplyTo(const Packet& request, Packet reply);
 
   ServerConfig config_;
+  const SimDuration syn_timeout_;
   ServerStats stats_;
   double cpu_tokens_;
   SimTime cpu_refill_at_ = 0;
@@ -78,6 +81,15 @@ class Server : public Host {
     SimTime expires_at;
   };
   std::unordered_map<std::uint64_t, HalfOpen> half_open_;
+  /// One (expires_at, key) per insert or refresh of `half_open_`, in
+  /// expiry order (the timeout is fixed). An entry whose key was since
+  /// ACKed or refreshed no longer matches the map and is skipped when it
+  /// comes due; the queue holds at most the SYNs of one timeout period.
+  struct Expiry {
+    SimTime expires_at;
+    std::uint64_t key;
+  };
+  RingQueue<Expiry> expiries_;
 };
 
 }  // namespace adtc

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 
+#include "common/ring_queue.h"
 #include "common/types.h"
 #include "common/units.h"
 #include "net/packet.h"
@@ -66,6 +67,15 @@ struct LinkStats {
   }
 };
 
+/// A packet the transmitter accepted: it occupies the buffer until its
+/// serialisation finishes. `seq` is the sequence number the sending
+/// shard's engine reserved for that instant (see Network::LinkSend).
+struct InTransmission {
+  SimTime finish;
+  std::uint64_t seq;
+  std::uint32_t size_bytes;
+};
+
 /// Link state. Owned by Network; all behaviour lives in Network so the
 /// hot path stays branch-light and free of virtual dispatch.
 struct Link {
@@ -75,7 +85,10 @@ struct Link {
   LinkParams params;
 
   SimTime busy_until = 0;   // when the transmitter frees up
+  /// Bytes of `in_transmission`; both are drained lazily, on the next
+  /// send, and are exact only inside Network::LinkSend.
   std::int64_t queued_bytes = 0;
+  RingQueue<InTransmission> in_transmission;
   LinkStats stats;
 };
 

@@ -129,10 +129,10 @@ std::pair<LinkId, LinkId> Network::Connect(NodeId a, NodeId b,
 
   const auto ab = static_cast<LinkId>(links_.size());
   links_.push_back(Link{LinkTarget::Node(a), LinkTarget::Node(b), kind_ab,
-                        params, 0, 0, {}});
+                        params, 0, 0, {}, {}});
   const auto ba = static_cast<LinkId>(links_.size());
   links_.push_back(Link{LinkTarget::Node(b), LinkTarget::Node(a), kind_ba,
-                        params, 0, 0, {}});
+                        params, 0, 0, {}, {}});
 
   nodes_[a].neighbours.emplace_back(b, ab);
   nodes_[b].neighbours.emplace_back(a, ba);
@@ -155,10 +155,10 @@ HostId Network::AttachEndpoint(std::unique_ptr<Endpoint> endpoint,
 
   const auto up = static_cast<LinkId>(links_.size());
   links_.push_back(Link{LinkTarget::Host(host_id), LinkTarget::Node(node),
-                        LinkKind::kAccessUp, access, 0, 0, {}});
+                        LinkKind::kAccessUp, access, 0, 0, {}, {}});
   const auto down = static_cast<LinkId>(links_.size());
   links_.push_back(Link{LinkTarget::Node(node), LinkTarget::Host(host_id),
-                        LinkKind::kAccessDown, access, 0, 0, {}});
+                        LinkKind::kAccessDown, access, 0, 0, {}, {}});
 
   HostRecord record;
   record.endpoint = std::move(endpoint);
@@ -335,6 +335,22 @@ void Network::LinkSend(LinkId link_id, Packet packet) {
     }
   }
 
+  // Drain lazily: a packet leaves the buffer when its serialisation
+  // finishes. Each accepted packet reserved, on the sending shard's
+  // engine, the sequence number a drain event posted at its `finish`
+  // would have taken, so it has left exactly when such an event would
+  // already have run (Simulator::HasRun): at `finish == now`, a send from
+  // an event posted before that packet was accepted still sees it queued,
+  // a send from a later-posted event does not. Link state is owned by the
+  // sending side's shard, which is the shard executing this call.
+  Simulator& sender = engine_.queue(ShardOf(link.from));
+  while (!link.in_transmission.empty()) {
+    const InTransmission& head = link.in_transmission.front();
+    if (!sender.HasRun(head.finish, head.seq)) break;
+    link.queued_bytes -= head.size_bytes;
+    link.in_transmission.pop_front();
+  }
+
   if (link.queued_bytes + packet.size_bytes >
       link.params.buffer_bytes) {
     link.stats.dropped_packets++;
@@ -349,19 +365,16 @@ void Network::LinkSend(LinkId link_id, Packet packet) {
   const SimTime finish = start + tx;
   link.busy_until = finish;
   link.queued_bytes += packet.size_bytes;
+  link.in_transmission.push_back(
+      InTransmission{finish, sender.TakeSeq(), packet.size_bytes});
   link.stats.busy_time += tx;
   link.stats.forwarded_packets++;
   metrics_cell().RecordHop(packet);
 
+  // The arrival executes on the receiving side's shard. For a cross-shard
+  // link, delay >= epoch guarantees it lands beyond the current window
+  // and crosses cleanly at the barrier.
   const SimTime arrive = finish + link.params.delay;
-  const std::uint32_t size = packet.size_bytes;
-  // Link state (queued_bytes) is owned by the sending side's shard; the
-  // arrival executes on the receiving side's shard. For a cross-shard
-  // link, delay >= epoch guarantees the arrival lands beyond the current
-  // window and crosses cleanly at the barrier.
-  engine_.shard(ShardOf(link.from)).Post(finish, [this, link_id, size] {
-    links_[link_id].queued_bytes -= size;
-  });
   if (corrupted) {
     // The frame used the wire but fails the receiver's CRC: drop it at
     // arrival time.
@@ -371,10 +384,12 @@ void Network::LinkSend(LinkId link_id, Packet packet) {
         });
     return;
   }
-  engine_.shard(ShardOf(link.to))
-      .Post(arrive, [this, link_id, p = std::move(packet)]() mutable {
-        LinkArrive(link_id, std::move(p));
-      });
+  auto arrival = [this, link_id, p = std::move(packet)]() mutable {
+    LinkArrive(link_id, std::move(p));
+  };
+  static_assert(Scheduler::Callback::kFitsInline<decltype(arrival)>,
+                "the per-hop arrival event must not allocate");
+  engine_.shard(ShardOf(link.to)).Post(arrive, std::move(arrival));
 }
 
 void Network::LinkArrive(LinkId link_id, Packet packet) {

@@ -21,12 +21,15 @@
 
 #include "common/types.h"
 #include "common/units.h"
+#include "sim/callback.h"
 
 namespace adtc {
 
 class Scheduler {
  public:
-  using Callback = std::function<void()>;
+  /// Move-only; callables up to a Packet-carrying closure are stored
+  /// inline (sim/callback.h).
+  using Callback = EventCallback;
 
   virtual ~Scheduler() = default;
 

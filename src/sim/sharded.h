@@ -79,8 +79,10 @@ class ShardedSimulator {
     Simulator sim_;
     Rng rng_;
     /// outbox_[dst]: events this shard's thread posted onto shard `dst`
-    /// during the current window. Written only by this shard's worker —
-    /// no locks — and drained by the main thread at the barrier.
+    /// during the current window, each carrying the same inline-storage
+    /// callback a same-shard post would queue. Written only by this
+    /// shard's worker — no locks — and drained by the main thread at the
+    /// barrier.
     std::vector<std::vector<Pending>> outbox_;
   };
 
@@ -97,6 +99,10 @@ class ShardedSimulator {
   ShardRef shard(ShardId id) { return ShardRef(shards_[id].get()); }
   /// The control shard (shard 0): management-plane services live here.
   ShardRef control() { return shard(0); }
+  /// Shard `id`'s event queue, for the engine primitives beyond Post
+  /// (Simulator::TakeSeq/HasRun). Only code running on that shard, or
+  /// the main thread between runs, may use it.
+  Simulator& queue(ShardId id) { return shards_[id]->sim_; }
 
   /// Epoch length = the conservative lookahead (minimum cross-shard
   /// latency). 0 — the default — means "no cross-shard traffic expected":

@@ -6,22 +6,36 @@ namespace adtc {
 
 void Simulator::Post(SimTime when, Callback cb) {
   if (when < now_) when = now_;
-  queue_.push(Event{when, next_seq_++, std::move(cb)});
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.push_back(std::move(cb));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    slots_[slot] = std::move(cb);
+  }
+  queue_.push(Key{when, next_seq_++, slot});
+}
+
+void Simulator::RunNext() {
+  const Key key = queue_.top();
+  queue_.pop();
+  Callback cb = std::move(slots_[key.slot]);
+  free_slots_.push_back(key.slot);
+  now_ = key.when;
+  running_seq_ = key.seq;
+  cb();
 }
 
 std::uint64_t Simulator::RunUntil(SimTime until) {
   std::uint64_t ran = 0;
   while (!queue_.empty() && queue_.top().when <= until) {
-    // priority_queue::top() is const; move out via const_cast is UB-adjacent,
-    // so copy the callback handle instead (std::function copy is cheap
-    // relative to simulated work per event).
-    Event event = queue_.top();
-    queue_.pop();
-    now_ = event.when;
-    event.cb();
+    RunNext();
     ++ran;
   }
   if (now_ < until) now_ = until;
+  running_seq_ = next_seq_;
   AddExecuted(ran);
   return ran;
 }
@@ -29,18 +43,18 @@ std::uint64_t Simulator::RunUntil(SimTime until) {
 std::uint64_t Simulator::RunToCompletion() {
   std::uint64_t ran = 0;
   while (!queue_.empty()) {
-    Event event = queue_.top();
-    queue_.pop();
-    now_ = event.when;
-    event.cb();
+    RunNext();
     ++ran;
   }
+  running_seq_ = next_seq_;
   AddExecuted(ran);
   return ran;
 }
 
 void Simulator::Clear() {
-  while (!queue_.empty()) queue_.pop();
+  queue_ = {};
+  slots_.clear();
+  free_slots_.clear();
 }
 
 }  // namespace adtc

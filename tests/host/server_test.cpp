@@ -106,6 +106,91 @@ TEST(ServerTest, HalfOpenEntriesExpire) {
   EXPECT_EQ(world.server->stats().half_open_timeouts, 1u);
 }
 
+/// Hands a segment from (src slot 9 on node a, `port`) straight to the
+/// server at the current time, so each case controls Now() exactly.
+void Segment(ServerWorld& world, std::uint8_t flags, std::uint16_t port) {
+  Packet packet;
+  packet.src = HostAddress(world.a, 9);
+  packet.dst = world.server->address();
+  packet.proto = Protocol::kTcp;
+  packet.size_bytes = 40;
+  packet.tcp_flags = flags;
+  packet.src_port = port;
+  packet.dst_port = 80;
+  world.server->HandlePacket(std::move(packet));
+}
+
+ServerConfig ShortTimeout(std::uint32_t table_size = 16) {
+  ServerConfig config;
+  config.conn_table_size = table_size;
+  config.syn_timeout = Milliseconds(500);
+  return config;
+}
+
+TEST(ServerTest, ReSynRefreshesExpiryAndTimesOutOnceAtTheLaterExpiry) {
+  ServerWorld world(ShortTimeout());
+  Segment(world, tcp::kSyn, 1000);                  // expires at 500 ms
+  world.net.RunUntil(Milliseconds(300));
+  Segment(world, tcp::kSyn, 1000);                  // now expires at 800 ms
+  Segment(world, tcp::kSyn, 1000);                  // same instant
+  world.net.RunUntil(Milliseconds(600));
+  Segment(world, tcp::kSyn, 2000);
+  EXPECT_EQ(world.server->stats().half_open_timeouts, 0u);
+  EXPECT_EQ(world.server->half_open_count(), 2u);
+  world.net.RunUntil(Milliseconds(800));
+  Segment(world, tcp::kSyn, 3000);
+  EXPECT_EQ(world.server->stats().half_open_timeouts, 1u);
+  EXPECT_EQ(world.server->half_open_count(), 2u);  // 2000 and 3000
+}
+
+TEST(ServerTest, AckThenReSynOfTheSameKey) {
+  ServerWorld world(ShortTimeout());
+  Segment(world, tcp::kSyn, 1000);                  // expires at 500 ms
+  world.net.RunUntil(Milliseconds(100));
+  Segment(world, tcp::kAck, 1000);
+  EXPECT_EQ(world.server->stats().handshakes_completed, 1u);
+  EXPECT_EQ(world.server->half_open_count(), 0u);
+  world.net.RunUntil(Milliseconds(200));
+  Segment(world, tcp::kSyn, 1000);                  // expires at 700 ms
+  world.net.RunUntil(Milliseconds(500));
+  Segment(world, tcp::kSyn, 2000);
+  EXPECT_EQ(world.server->stats().half_open_timeouts, 0u);
+  EXPECT_EQ(world.server->half_open_count(), 2u);
+  world.net.RunUntil(Milliseconds(700));
+  Segment(world, tcp::kSyn, 3000);
+  EXPECT_EQ(world.server->stats().half_open_timeouts, 1u);
+  EXPECT_EQ(world.server->half_open_count(), 2u);
+  EXPECT_EQ(world.server->stats().handshakes_completed, 1u);
+}
+
+TEST(ServerTest, HalfOpenEntryExpiresAtExactlyItsDeadline) {
+  ServerWorld world(ShortTimeout());
+  Segment(world, tcp::kSyn, 1000);                  // expires at 500 ms
+  world.net.RunUntil(Milliseconds(500) - 1);
+  Segment(world, tcp::kSyn, 2000);
+  EXPECT_EQ(world.server->stats().half_open_timeouts, 0u);
+  world.net.RunUntil(Milliseconds(500));
+  Segment(world, tcp::kSyn, 3000);
+  EXPECT_EQ(world.server->stats().half_open_timeouts, 1u);
+  EXPECT_EQ(world.server->half_open_count(), 2u);
+}
+
+TEST(ServerTest, FullTableFreesUpThroughExpiry) {
+  ServerWorld world(ShortTimeout(/*table_size=*/4));
+  for (std::uint16_t port = 1; port <= 4; ++port) {
+    Segment(world, tcp::kSyn, port);
+  }
+  world.net.RunUntil(Milliseconds(100));
+  Segment(world, tcp::kSyn, 5);                     // table full
+  EXPECT_EQ(world.server->stats().denied_conn_table, 1u);
+  EXPECT_EQ(world.server->half_open_count(), 4u);
+  world.net.RunUntil(Milliseconds(500));
+  Segment(world, tcp::kSyn, 6);                     // all four expire first
+  EXPECT_EQ(world.server->stats().half_open_timeouts, 4u);
+  EXPECT_EQ(world.server->stats().denied_conn_table, 1u);
+  EXPECT_EQ(world.server->half_open_count(), 1u);
+}
+
 TEST(ServerTest, RstOnUnknownTcpSegment) {
   ServerWorld world;
   auto* probe = SpawnHost<ProbeHost>(world.net, world.a, FastLink());

@@ -268,5 +268,44 @@ TEST(NetworkTest, IcmpErrorsAreRateLimited) {
   EXPECT_GE(world.host_a->received.size(), 1u);
 }
 
+TEST(NetworkTest, LinkDrainTieFollowsEventOrder) {
+  // The sender's uplink buffer holds exactly one packet. Packet A's
+  // serialisation finishes at `t`. At exactly `t`, an event posted before
+  // A was sent still finds A in the buffer (queue_full); one posted after
+  // A was sent finds it gone. This is the order a drain event posted at
+  // send time would give, and neither "finish <= now" nor "finish < now"
+  // alone reproduces it.
+  Network net(13);
+  const NodeId a = net.AddNode(NodeRole::kStub);
+  const NodeId b = net.AddNode(NodeRole::kStub);
+  net.Connect(a, b, FastLink(), LinkKind::kPeer);
+  const LinkParams one_packet{MegabitsPerSecond(8), Milliseconds(1), 1000};
+  auto* src = SpawnHost<SinkHost>(net, a, one_packet);
+  auto* dst = SpawnHost<SinkHost>(net, b, FastLink());
+  net.FinalizeRouting();
+
+  auto send = [&](std::uint16_t port) {
+    Packet packet = src->MakePacket(dst->address(), Protocol::kUdp, 1000);
+    packet.dst_port = port;
+    src->SendPacket(std::move(packet));
+  };
+  const SimTime sent_at = Milliseconds(1);
+  const SimTime t = sent_at + TransmissionDelay(1000, one_packet.rate);
+  ShardRef shard = net.control();
+  shard.Post(t, [&] { send(2); });  // posted before A is sent
+  shard.Post(sent_at, [&] {
+    send(1);                         // A
+    shard.Post(t, [&] { send(3); });  // posted after A is sent
+  });
+  net.Run(Seconds(1));
+
+  ASSERT_EQ(dst->received.size(), 2u);
+  EXPECT_EQ(dst->received[0].dst_port, 1);
+  EXPECT_EQ(dst->received[1].dst_port, 3);
+  EXPECT_EQ(net.metrics().dropped(TrafficClass::kLegitimate,
+                                  DropReason::kQueueFull),
+            1u);
+}
+
 }  // namespace
 }  // namespace adtc

@@ -7,15 +7,19 @@
 # closures capturing channel and fan-out state across simulated time,
 # duplicated deliveries, chaos-driven teardown ordering), the
 # chaos-containment suite (data-plane fault plans, router restarts and
-# the compromised-NMS adversary from docs/fault_injection.md), and the
-# static-analysis layer (random-graph soundness harness) — without paying
-# the sanitized build on every ctest invocation.
+# the compromised-NMS adversary from docs/fault_injection.md), the
+# static-analysis layer (random-graph soundness harness), and the event
+# engine's callback storage with its two lazy consumers (inline and boxed
+# captures, slot reuse, Clear() destroying pending captures; the link
+# drain and the server's half-open expiry queue) — without paying the
+# sanitized build on every ctest invocation.
 #
 # A second phase rebuilds with ThreadSanitizer (-DADTC_SANITIZE_THREAD=ON)
 # and runs the genuinely multi-threaded subset: the thread pool /
 # ParallelFor plumbing, the batched datapath tests that ride on it, and
 # the sharded-engine suite — the lock-step barrier exchange unit tests
-# plus the ShardStress world that drives cross-shard control channels,
+# (inline callbacks crossing shards by value among them) plus the
+# ShardStress world that drives cross-shard control channels,
 # the sampler, and resync sweeps concurrently (docs/sharding.md).
 # ASan/UBSan stays the default first phase; set ADTC_SKIP_TSAN=1 to skip
 # the TSan phase (e.g. on toolchains without libtsan).
@@ -26,8 +30,8 @@ set -euo pipefail
 
 SRC_DIR="${1:-$(cd "$(dirname "$0")/.." && pwd)}"
 BUILD_DIR="${2:-${SRC_DIR}/build-sanitize}"
-FILTER="${ADTC_SANITIZE_FILTER:-Telemetry*:*Sampler*:MetricsRegistry*:Tracer*:Json*:EventBuffer*:EnumNames*:CounterTest*:ScopedWallTimer*:FaultInjector*:ControlChannel*:RetryPolicy*:WorseStatus*:DeploymentId*:*ChaosConvergence*:*ChaosContainment*:VerifierTest*:NetworkVerifierTest*:PlanSoundnessTest*:AnalysisSoundnessTest*:StaticAnalysisTest*:FlightRecorder*:TraceAnalyzer*:DurationPercentile*:*TraceReassembly*:SprtDetector*:EwmaDetector*:ClosedLoop*:DropAccounting*:RuntimeOps*:AdaptiveDeviceTest*}"
-TSAN_FILTER="${ADTC_TSAN_FILTER:-ThreadPoolTest*:ParallelForTest*:NetworkTest*:AdaptiveDeviceTest*:AnalysisSoundnessTest*:NetworkVerifierTest*:PlanSoundnessTest*:FlightRecorder*:ShardedSingleTest*:ShardedMultiTest*:ShardStressTest*:ShardDeterminismTest*:*ChaosContainment*:SprtDetector*:ClosedLoop*:DropAccounting*}"
+FILTER="${ADTC_SANITIZE_FILTER:-Telemetry*:*Sampler*:MetricsRegistry*:Tracer*:Json*:EventBuffer*:EnumNames*:CounterTest*:ScopedWallTimer*:FaultInjector*:ControlChannel*:RetryPolicy*:WorseStatus*:DeploymentId*:*ChaosConvergence*:*ChaosContainment*:VerifierTest*:NetworkVerifierTest*:PlanSoundnessTest*:AnalysisSoundnessTest*:StaticAnalysisTest*:FlightRecorder*:TraceAnalyzer*:DurationPercentile*:*TraceReassembly*:SprtDetector*:EwmaDetector*:ClosedLoop*:DropAccounting*:RuntimeOps*:AdaptiveDeviceTest*:SimulatorTest*:ShardedSingleTest*:ShardedMultiTest*:NetworkTest*:ServerTest*}"
+TSAN_FILTER="${ADTC_TSAN_FILTER:-ThreadPoolTest*:ParallelForTest*:NetworkTest*:AdaptiveDeviceTest*:AnalysisSoundnessTest*:NetworkVerifierTest*:PlanSoundnessTest*:FlightRecorder*:ShardedSingleTest*:ShardedMultiTest*:ShardStressTest*:ShardDeterminismTest*:*ChaosContainment*:SprtDetector*:ClosedLoop*:DropAccounting*:SimulatorTest*:ServerTest*}"
 
 cmake -S "${SRC_DIR}" -B "${BUILD_DIR}" -DADTC_SANITIZE=ON \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null

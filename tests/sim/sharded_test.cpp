@@ -10,6 +10,8 @@
 #include <utility>
 #include <vector>
 
+#include "net/packet.h"
+
 namespace adtc {
 namespace {
 
@@ -180,6 +182,39 @@ TEST(ShardedMultiTest, RunUntilStopsEveryClockAtTheHorizon) {
   EXPECT_FALSE(engine.Empty());  // the far event is still queued
   engine.Clear();
   EXPECT_TRUE(engine.Empty());
+}
+
+TEST(ShardedMultiTest, PacketSizedCrossShardPostsKeepExchangeOrder) {
+  // Closures carrying a whole Packet (the per-hop arrival event) cross
+  // shards inline and reach the destination in (source, post) order,
+  // whatever order the worker threads ran in.
+  auto run_once = [] {
+    ShardedSimulator engine(3);
+    const SimDuration epoch = Milliseconds(10);
+    engine.SetEpoch(epoch);
+    std::vector<PacketSerial> arrived;  // written by shard 0 only
+    ShardRef s0 = engine.shard(0);
+    for (const ShardId src : {2u, 1u}) {
+      ShardRef from = engine.shard(src);
+      from.Post(Milliseconds(1), [&arrived, s0, from, src, epoch] {
+        for (PacketSerial k = 1; k <= 3; ++k) {
+          Packet packet;
+          packet.serial = src * 100 + k;
+          auto arrival = [&arrived, p = packet]() mutable {
+            arrived.push_back(p.serial);
+          };
+          static_assert(Scheduler::Callback::kFitsInline<decltype(arrival)>);
+          s0.Post(from.Now() + epoch, std::move(arrival));
+        }
+      });
+    }
+    engine.RunToCompletion();
+    EXPECT_EQ(engine.stats().cross_shard_events, 6u);
+    EXPECT_EQ(engine.stats().late_cross_events, 0u);
+    return arrived;
+  };
+  const std::vector<PacketSerial> expected = {101, 102, 103, 201, 202, 203};
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(run_once(), expected);
 }
 
 }  // namespace

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <memory>
+#include <tuple>
 #include <vector>
+
+#include "common/rng.h"
 
 namespace adtc {
 namespace {
@@ -107,6 +113,105 @@ TEST(SimulatorTest, EventsCanScheduleMoreEvents) {
   sim.RunToCompletion();
   EXPECT_EQ(depth, 100);
   EXPECT_EQ(sim.executed_events(), 100u);
+}
+
+TEST(SimulatorTest, MoveOnlyCapturesRun) {
+  Simulator sim;
+  int seen = 0;
+  auto owned = std::make_unique<int>(7);
+  sim.Post(Milliseconds(1), [&seen, owned = std::move(owned)] {
+    seen = *owned;
+  });
+  sim.RunToCompletion();
+  EXPECT_EQ(seen, 7);
+}
+
+TEST(SimulatorTest, CaptureLargerThanInlineBufferIsBoxed) {
+  Simulator sim;
+  auto token = std::make_shared<int>(0);
+  std::array<char, 2 * Scheduler::Callback::kInlineBytes> big{};
+  big.back() = 'x';
+  char seen = 0;
+  auto large = [&seen, big, token] { seen = big.back(); };
+  static_assert(!Scheduler::Callback::kFitsInline<decltype(large)>);
+  sim.Post(Milliseconds(1), std::move(large));
+  EXPECT_EQ(token.use_count(), 2);
+  sim.RunToCompletion();
+  EXPECT_EQ(seen, 'x');
+  EXPECT_EQ(token.use_count(), 1);  // the boxed capture died after running
+}
+
+TEST(SimulatorTest, SlotReuseUnderInterleavedPostAndPopKeepsOrder) {
+  // Events posted from events reuse freed slots; execution must still
+  // follow (when, post order) exactly.
+  Simulator sim;
+  Rng rng(5);
+  struct Ran {
+    SimTime when;
+    int post_index;
+  };
+  std::vector<Ran> ran;
+  std::vector<std::pair<SimTime, int>> posted;
+  int next_index = 0;
+  std::function<void(int)> post = [&](int budget) {
+    const SimTime when =
+        sim.Now() + static_cast<SimTime>(rng.NextBelow(5));
+    const int index = next_index++;
+    posted.emplace_back(when, index);
+    sim.Post(when, [&, when, index, budget] {
+      ran.push_back({when, index});
+      for (int i = 0; i < 2 && budget > 0; ++i) post(budget - 1);
+    });
+  };
+  for (int i = 0; i < 8; ++i) post(6);
+  for (SimTime t = 0; !sim.Empty(); t += 3) sim.RunUntil(t);
+  ASSERT_EQ(ran.size(), posted.size());
+  std::sort(posted.begin(), posted.end());
+  for (std::size_t i = 0; i < ran.size(); ++i) {
+    EXPECT_EQ(ran[i].when, posted[i].first) << i;
+    EXPECT_EQ(ran[i].post_index, posted[i].second) << i;
+  }
+}
+
+TEST(SimulatorTest, ClearDestroysPendingCaptures) {
+  Simulator sim;
+  auto token = std::make_shared<int>(0);
+  std::array<char, 2 * Scheduler::Callback::kInlineBytes> big{};
+  sim.Post(Milliseconds(1), [token] {});
+  sim.Post(Milliseconds(2), [token, big] { (void)big; });
+  EXPECT_EQ(token.use_count(), 3);
+  sim.Clear();
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_TRUE(sim.Empty());
+  // The freed slots take new events.
+  int ran = 0;
+  sim.Post(Milliseconds(3), [&ran] { ran++; });
+  sim.RunToCompletion();
+  EXPECT_EQ(ran, 1);
+}
+
+TEST(SimulatorTest, HasRunFollowsQueueOrderAtTies) {
+  // A seq taken at time t for time T has run, as seen from an event at T,
+  // exactly when an event posted in its place would have run first.
+  Simulator sim;
+  const SimTime t = Milliseconds(5);
+  std::uint64_t taken = 0;
+  bool seen_by_earlier = true, seen_by_later = false;
+  sim.Post(t, [&] { seen_by_earlier = sim.HasRun(t, taken); });
+  sim.Post(Milliseconds(1), [&] {
+    taken = sim.TakeSeq();
+    sim.Post(t, [&] { seen_by_later = sim.HasRun(t, taken); });
+  });
+  sim.RunUntil(t - 1);
+  EXPECT_FALSE(sim.HasRun(t, taken));
+  sim.RunUntil(t);
+  EXPECT_FALSE(seen_by_earlier);
+  EXPECT_TRUE(seen_by_later);
+  // Between runs: everything due by Now() and taken before the run
+  // returned has run; a seq taken since has not.
+  EXPECT_TRUE(sim.HasRun(t, taken));
+  EXPECT_FALSE(sim.HasRun(t, sim.TakeSeq()));
+  EXPECT_FALSE(sim.HasRun(t + 1, taken));
 }
 
 }  // namespace
